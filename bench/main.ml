@@ -1877,16 +1877,31 @@ let client_close c = try Unix.close c.cfd with Unix.Unix_error _ -> ()
 
 let find_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
+  let rec matches i k = k = nn || (hay.[i + k] = needle.[k] && matches i (k + 1)) in
+  let rec go i = if i + nn > nh then None else if matches i 0 then Some i else go (i + 1) in
+  go 0
+
+(* Index of the first "\r\n\r\n" in [b] that starts at or after [from],
+   or -1. *)
+let find_crlf2 b ~from =
+  let n = Buffer.length b in
   let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
+    if i + 3 >= n then -1
+    else if
+      Buffer.nth b i = '\r'
+      && Buffer.nth b (i + 1) = '\n'
+      && Buffer.nth b (i + 2) = '\r'
+      && Buffer.nth b (i + 3) = '\n'
+    then i
     else go (i + 1)
   in
-  go 0
+  go from
 
 (* Read exactly one response off a keep-alive connection: headers to
    the blank line, then Content-Length body bytes; anything beyond
-   stays pending. Returns the status code. *)
+   stays pending. Returns the status code. Linear in the response size:
+   after each read only the new bytes (and the 3 before them, for a
+   terminator split across reads) are searched. *)
 let client_read_response c =
   let chunk = Bytes.create 8192 in
   let fill () =
@@ -1894,15 +1909,17 @@ let client_read_response c =
     if n = 0 then failwith "server closed mid-response";
     Buffer.add_subbytes c.pending chunk 0 n
   in
-  let rec header_end () =
-    match find_substring (Buffer.contents c.pending) "\r\n\r\n" with
-    | Some i -> i
-    | None ->
-        fill ();
-        header_end ()
+  let rec header_end scanned =
+    let i = find_crlf2 c.pending ~from:(max 0 (scanned - 3)) in
+    if i >= 0 then i
+    else begin
+      let scanned = Buffer.length c.pending in
+      fill ();
+      header_end scanned
+    end
   in
-  let hdr_end = header_end () in
-  let head = String.sub (Buffer.contents c.pending) 0 hdr_end in
+  let hdr_end = header_end 0 in
+  let head = Buffer.sub c.pending 0 hdr_end in
   let status = Scanf.sscanf head "HTTP/1.1 %d" Fun.id in
   let clen =
     match find_substring (String.lowercase_ascii head) "content-length:" with
@@ -1915,8 +1932,7 @@ let client_read_response c =
   while Buffer.length c.pending < total do
     fill ()
   done;
-  let all = Buffer.contents c.pending in
-  let leftover = String.sub all total (String.length all - total) in
+  let leftover = Buffer.sub c.pending total (Buffer.length c.pending - total) in
   Buffer.clear c.pending;
   Buffer.add_string c.pending leftover;
   status

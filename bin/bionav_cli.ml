@@ -280,7 +280,10 @@ let navigate_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"Keyword query.")
   in
   let auto_arg =
-    let doc = "Navigate automatically (oracle user) to the concept with this exact label." in
+    let doc =
+      "Navigate automatically (oracle user) to the concept with this exact label, or to the \
+       query's Table I target when LABEL is its target name (see $(b,queries))."
+    in
     Arg.(value & opt (some string) None & info [ "auto" ] ~docv:"LABEL" ~doc)
   in
   let record_arg =
@@ -337,12 +340,15 @@ let navigate_cmd =
                 Printf.printf "replayed %s: %d applied, %d skipped\n" path
                   outcome.Session_log.applied outcome.Session_log.skipped);
             interactive_loop ?record s w.Q.eutils
-        | Some label -> (
-            match H.find_by_label w.Q.hierarchy label with
+        | Some requested -> (
+            match Q.resolve_target w ~query requested with
             | None ->
-                Printf.printf "no concept labelled %S\n" label;
+                Printf.printf "no concept labelled %S\n" requested;
                 exit 1
             | Some concept -> (
+                let label = H.label w.Q.hierarchy concept in
+                if label <> requested then
+                  Printf.printf "Table I target %S is concept %S\n" requested label;
                 match Nav_tree.node_of_concept nav concept with
                 | None ->
                     Printf.printf "concept %S holds no results of this query\n" label;

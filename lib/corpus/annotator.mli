@@ -37,7 +37,8 @@ type t
 
 val create :
   ?params:params -> Bionav_mesh.Hierarchy.t -> Bionav_util.Rng.t -> t
-(** Precomputes the depth-biased background sampler. *)
+(** Precomputes the depth-biased background sampler. The annotator holds
+    mutable scratch space for {!annotate}: use one per domain. *)
 
 val annotate : t -> major_topics:int list -> Bionav_util.Intset.t
 (** The full association set for a citation with the given major topics.

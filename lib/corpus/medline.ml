@@ -13,25 +13,8 @@ let make hierarchy citations =
       if Citation.id c <> i then
         invalid_arg (Printf.sprintf "Medline.make: citation at index %d has id %d" i (Citation.id c)))
     citations;
-  let n_concepts = Hierarchy.size hierarchy in
-  let buckets = Array.make n_concepts [] in
-  (* Citations are scanned in increasing id order, so each bucket is built
-     already sorted (descending, reversed once at the end). *)
-  Array.iter
-    (fun c ->
-      let id = Citation.id c in
-      Intset.iter
-        (fun concept ->
-          if concept < 0 || concept >= n_concepts then
-            invalid_arg (Printf.sprintf "Medline.make: citation %d references concept %d" id concept);
-          buckets.(concept) <- id :: buckets.(concept))
-        (Citation.concepts c))
-    citations;
   let postings =
-    Array.map
-      (fun bucket ->
-        Intset.of_sorted_array_unchecked (Array.of_list (List.rev bucket)))
-      buckets
+    Intset.transpose ~n_cols:(Hierarchy.size hierarchy) (Array.map Citation.concepts citations)
   in
   { hierarchy; citations; postings }
 

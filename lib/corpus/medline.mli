@@ -6,8 +6,10 @@
 type t
 
 val make : Bionav_mesh.Hierarchy.t -> Citation.t array -> t
-(** Builds posting lists (concept -> citation set) eagerly. Citation ids
-    must equal their array index. @raise Invalid_argument otherwise. *)
+(** Builds posting lists (concept -> citation set) eagerly, by one
+    counting transpose of the citations' concept sets. Citation ids must
+    equal their array index, and every concept must be in the hierarchy.
+    @raise Invalid_argument otherwise. *)
 
 val hierarchy : t -> Bionav_mesh.Hierarchy.t
 val size : t -> int

@@ -17,6 +17,9 @@ val arena : t -> Bionav_util.Docset_arena.t
 
 val n_terms : t -> int
 
+val terms : t -> string list
+(** Every indexed term, sorted. *)
+
 val postings : t -> string -> Bionav_util.Docset.t
 (** Citations containing the (normalized) term; empty for unknown terms. *)
 

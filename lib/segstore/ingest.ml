@@ -96,49 +96,65 @@ let write_run path pairs ~len =
 
 let fail_run msg = invalid_arg ("Segstore.Ingest: run file " ^ msg)
 
-let read_run_i64 ic =
+(* Run files are read through a private buffer, one channel read per
+   64 KiB rather than one (locked) channel call per byte. *)
+type run_reader = { ic : in_channel; chunk : Bytes.t; mutable pos : int; mutable lim : int }
+
+let run_reader path = { ic = open_in_bin path; chunk = Bytes.create 65536; pos = 0; lim = 0 }
+
+let read_run_byte r what =
+  if r.pos = r.lim then begin
+    r.lim <- input r.ic r.chunk 0 (Bytes.length r.chunk);
+    r.pos <- 0;
+    if r.lim = 0 then fail_run ("truncated " ^ what)
+  end;
+  let b = Bytes.get r.chunk r.pos in
+  r.pos <- r.pos + 1;
+  Char.code b
+
+let read_run_i64 r =
   let v = ref 0L in
   for i = 0 to 7 do
-    match In_channel.input_byte ic with
-    | None -> fail_run "truncated header"
-    | Some b -> v := Int64.logor !v (Int64.shift_left (Int64.of_int b) (8 * i))
+    v := Int64.logor !v (Int64.shift_left (Int64.of_int (read_run_byte r "header")) (8 * i))
   done;
   !v
 
-let read_run_varint ic =
+let read_run_varint r =
   let acc = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
     if !shift > 62 then fail_run "varint too long";
-    match In_channel.input_byte ic with
-    | None -> fail_run "truncated varint"
-    | Some b ->
-        acc := !acc lor ((b land 0x7f) lsl !shift);
-        shift := !shift + 7;
-        if b land 0x80 = 0 then continue := false
+    let b = read_run_byte r "varint" in
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    if b land 0x80 = 0 then continue := false
   done;
   if !acc < 0 then fail_run "varint overflow";
   !acc
 
 (* --- k-way merge streams ------------------------------------------------ *)
 
-type stream = { mutable cur : int; next : unit -> int option }
+(* A stream yields packed pairs, which are never negative, and then
+   [exhausted]: no option to allocate per pair. *)
+let exhausted = -1
+
+type stream = { mutable cur : int; next : unit -> int }
 
 let stream_of_run path =
-  let ic = open_in_bin path in
-  let remaining = ref (Int64.to_int (read_run_i64 ic)) in
+  let r = run_reader path in
+  let remaining = ref (Int64.to_int (read_run_i64 r)) in
   if !remaining < 0 then fail_run "bad pair count";
   let prev = ref (-1) in
   let next () =
     if !remaining = 0 then begin
-      close_in ic;
-      None
+      close_in r.ic;
+      exhausted
     end
     else begin
       decr remaining;
-      let v = !prev + read_run_varint ic in
+      let v = !prev + read_run_varint r in
       if v <= !prev then fail_run "pairs not increasing";
       prev := v;
-      Some v
+      v
     end
   in
   next
@@ -146,11 +162,11 @@ let stream_of_run path =
 let stream_of_array pairs ~len =
   let i = ref 0 in
   fun () ->
-    if !i >= len then None
+    if !i >= len then exhausted
     else begin
       let v = pairs.(!i) in
       incr i;
-      Some v
+      v
     end
 
 (* Array min-heap on [cur]; exhausted streams are removed. *)
@@ -158,7 +174,9 @@ let merge nexts ~f =
   let heap =
     Array.of_list
       (List.filter_map
-         (fun next -> match next () with Some v -> Some { cur = v; next } | None -> None)
+         (fun next ->
+           let v = next () in
+           if v = exhausted then None else Some { cur = v; next })
          nexts)
   in
   let size = ref (Array.length heap) in
@@ -188,13 +206,15 @@ let merge nexts ~f =
       f s.cur;
       last := s.cur
     end;
-    (match s.next () with
-    | Some v ->
-        if v <= s.cur then fail_run "stream not increasing";
-        s.cur <- v
-    | None ->
-        decr size;
-        swap 0 !size);
+    let v = s.next () in
+    if v = exhausted then begin
+      decr size;
+      swap 0 !size
+    end
+    else begin
+      if v <= s.cur then fail_run "stream not increasing";
+      s.cur <- v
+    end;
     if !size > 0 then sift_down 0
   done
 
@@ -205,7 +225,7 @@ type t = {
   t_config : config;
   n_concepts : int;
   forward : rolling;
-  pairs : int array;  (* run buffer *)
+  pairs : int array;  (* run buffer, sorted in place: the only big allocation *)
   mutable fill : int;
   mutable runs : int;
   mutable n_citations : int;
@@ -248,16 +268,9 @@ let create ?(config = default_config) ~n_concepts dir =
     sealed = false;
   }
 
-(* Sort the filled prefix in place: pad the tail with max_int (sorts
-   last), sort the whole array. No transient copy — the run buffer is the
-   ingest memory bound and must stay the only big allocation. *)
-let sort_prefix pairs ~fill =
-  Array.fill pairs fill (Array.length pairs - fill) max_int;
-  Array.sort Int.compare pairs
-
 let spill t =
   if t.fill > 0 then begin
-    sort_prefix t.pairs ~fill:t.fill;
+    Int_sort.sort_prefix t.pairs ~len:t.fill;
     write_run (run_path t.dir t.runs) t.pairs ~len:t.fill;
     t.runs <- t.runs + 1;
     t.fill <- 0;
@@ -298,7 +311,7 @@ let seal t =
   t.sealed <- true;
   let forward_summaries = rolling_finish t.forward in
   (* residual buffer joins the merge in place — no extra spill *)
-  sort_prefix t.pairs ~fill:t.fill;
+  Int_sort.sort_prefix t.pairs ~len:t.fill;
   let streams =
     stream_of_array t.pairs ~len:t.fill
     :: List.init t.runs (fun i -> stream_of_run (run_path t.dir i))

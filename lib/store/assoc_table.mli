@@ -17,17 +17,9 @@ type t
 val of_postings :
   n_citations:int -> Bionav_util.Intset.t array -> t
 (** [of_postings ~n_citations postings] builds the table from the normalized
-    orientation ([postings.(c)] = citations of concept [c]).
+    orientation ([postings.(c)] = citations of concept [c]); the
+    denormalized one is its counting transpose.
     @raise Invalid_argument on a citation id outside [0, n_citations). *)
-
-val of_sorted_pairs :
-  n_concepts:int -> n_citations:int -> (int * int) Seq.t -> t
-(** [of_sorted_pairs ~n_concepts ~n_citations pairs] builds the table from
-    a (concept, citation) pair stream sorted by concept then citation,
-    duplicate-free — the shape a sorted-run merge emits — without the
-    caller materializing per-concept sets.
-    @raise Invalid_argument on an out-of-range id or an out-of-order
-    pair. *)
 
 val n_concepts : t -> int
 val n_citations : t -> int
@@ -36,11 +28,6 @@ val n_associations : t -> int
 
 val citations_of_concept : t -> int -> Bionav_util.Intset.t
 val concepts_of_citation : t -> int -> Bionav_util.Intset.t
-
-val iter_pairs : t -> (int -> int -> unit) -> unit
-(** [iter_pairs t f] calls [f concept citation] for every association, in
-    (concept, citation) order — the streaming boundary the segment-store
-    ingest consumes, inverse of {!of_sorted_pairs}. *)
 
 val fold_concepts :
   t -> init:'a -> f:('a -> int -> Bionav_util.Intset.t -> 'a) -> 'a

@@ -85,12 +85,11 @@ module Wire = struct
      (not cryptographic). *)
   let fnv1a64 ?(init = 0xcbf29ce484222325L) s =
     let prime = 0x100000001b3L in
+    (* A plain loop keeps [h] unboxed: no allocation per byte. *)
     let h = ref init in
-    String.iter
-      (fun c ->
-        h := Int64.logxor !h (Int64.of_int (Char.code c));
-        h := Int64.mul !h prime)
-      s;
+    for i = 0 to String.length s - 1 do
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) prime
+    done;
     !h
 end
 

@@ -16,24 +16,8 @@ let is_empty s = s.id = A.empty_id
 
 (* --- construction -------------------------------------------------------- *)
 
-let sort_dedup a =
-  let a = Array.copy a in
-  Array.sort Int.compare a;
-  let n = Array.length a in
-  if n = 0 then a
-  else begin
-    let k = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(!k - 1) then begin
-        a.(!k) <- a.(i);
-        incr k
-      end
-    done;
-    if !k = n then a else Array.sub a 0 !k
-  end
-
 let of_sorted_array_unchecked_in arena a = { arena; id = A.intern_unchecked arena a }
-let of_array_in arena a = of_sorted_array_unchecked_in arena (sort_dedup a)
+let of_array_in arena a = of_sorted_array_unchecked_in arena (Int_sort.sorted_unique a)
 let of_list_in arena l = of_array_in arena (Array.of_list l)
 let singleton_in arena x = of_sorted_array_unchecked_in arena [| x |]
 let of_intset_in arena s = of_sorted_array_unchecked_in arena (Intset.to_array s)

@@ -14,25 +14,7 @@ let is_empty t = Array.length t = 0
 
 let singleton x = [| x |]
 
-let dedup_sorted a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n a.(0) in
-    let k = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> out.(!k - 1) then begin
-        out.(!k) <- a.(i);
-        incr k
-      end
-    done;
-    if !k = n then out else Array.sub out 0 !k
-  end
-
-let of_array a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  dedup_sorted b
+let of_array = Int_sort.sorted_unique
 
 let of_list l = of_array (Array.of_list l)
 
@@ -41,6 +23,33 @@ let of_sorted_array_unchecked a =
   a
 
 let cardinal = Array.length
+
+(* Two passes: count each column, then fill exact-size arrays. Rows are
+   visited in increasing index order, so every column comes out sorted
+   and duplicate-free with no per-element allocation. *)
+let transpose ~n_cols rows =
+  let counts = Array.make n_cols 0 in
+  for r = 0 to Array.length rows - 1 do
+    let row = rows.(r) in
+    for i = 0 to Array.length row - 1 do
+      let c = row.(i) in
+      if c < 0 || c >= n_cols then
+        invalid_arg
+          (Printf.sprintf "Intset.transpose: row %d holds %d, outside [0, %d)" r c n_cols);
+      counts.(c) <- counts.(c) + 1
+    done
+  done;
+  let cols = Array.map (fun k -> Array.make k 0) counts in
+  Array.fill counts 0 n_cols 0;
+  for r = 0 to Array.length rows - 1 do
+    let row = rows.(r) in
+    for i = 0 to Array.length row - 1 do
+      let c = row.(i) in
+      cols.(c).(counts.(c)) <- r;
+      counts.(c) <- counts.(c) + 1
+    done
+  done;
+  cols
 
 let mem x t =
   let lo = ref 0 and hi = ref (Array.length t - 1) in

@@ -22,6 +22,13 @@ val of_sorted_array_unchecked : int array -> t
     strictly increasing; violations are detected only in debug assertions. *)
 
 val cardinal : t -> int
+
+val transpose : n_cols:int -> t array -> t array
+(** [transpose ~n_cols rows] is the column view of a 0/1 matrix given by
+    its rows: element [r] of result [c] iff [c] is in [rows.(r)]. The
+    result has exactly [n_cols] sets.
+    @raise Invalid_argument if a row holds a value outside [0, n_cols). *)
+
 val mem : int -> t -> bool
 val add : int -> t -> t
 val remove : int -> t -> t

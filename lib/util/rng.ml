@@ -64,18 +64,20 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let sample t k arr =
-  let n = Array.length arr in
-  let k = min k n in
-  let copy = Array.copy arr in
-  (* Partial Fisher-Yates: the first k slots end up a uniform sample. *)
+(* Partial Fisher-Yates: the first k slots end up a uniform sample. *)
+let sample_in_place t k arr ~len =
+  let k = min k len in
   for i = 0 to k - 1 do
-    let j = int_in t i (n - 1) in
-    let tmp = copy.(i) in
-    copy.(i) <- copy.(j);
-    copy.(j) <- tmp
+    let j = int_in t i (len - 1) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
   done;
-  Array.sub copy 0 k
+  k
+
+let sample t k arr =
+  let copy = Array.copy arr in
+  Array.sub copy 0 (sample_in_place t k copy ~len:(Array.length copy))
 
 let geometric t p =
   assert (p > 0. && p <= 1.);

@@ -51,6 +51,12 @@ val sample : t -> int -> 'a array -> 'a array
 (** [sample t k arr] draws [min k (Array.length arr)] distinct elements
     without replacement, in random order. *)
 
+val sample_in_place : t -> int -> 'a array -> len:int -> int
+(** [sample_in_place t k arr ~len] is {!sample} over [arr.(0 .. len - 1)]
+    without the copy: it permutes that prefix so the sample is its first
+    [min k len] slots, and returns that count. The same draws as
+    {!sample} on [Array.sub arr 0 len]. *)
+
 val geometric : t -> float -> int
 (** [geometric t p] is the number of failures before the first success of a
     Bernoulli(p) process; 0-based. Requires [0. < p <= 1.]. *)

@@ -226,6 +226,18 @@ let build ?(config = default_config) ~seed () =
   in
   { hierarchy; medline; database; eutils; queries }
 
+let resolve_target t ~query label =
+  match Hierarchy.find_by_label t.hierarchy label with
+  | Some concept -> Some concept
+  | None ->
+      let norm s = String.lowercase_ascii (String.trim s) in
+      List.find_map
+        (fun q ->
+          if norm q.keyword = norm query && norm q.spec.target_name = norm label then
+            Some q.target_concept
+          else None)
+        t.queries
+
 let result_count q = Docset.cardinal q.result
 let tree_size q = Nav_tree.size q.nav - 1
 let max_width q = Nav_tree.max_width q.nav

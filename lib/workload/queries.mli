@@ -73,6 +73,15 @@ val build : ?config:config -> seed:int -> unit -> t
     cannot be found even after relaxation (does not happen for the shipped
     configurations). *)
 
+val resolve_target : t -> query:string -> string -> int option
+(** [resolve_target t ~query label] is the concept a user means by
+    [label] when navigating the results of [query]: the concept with
+    exactly that label if there is one, else — when [query] is a Table I
+    query (compared trimmed, case-insensitively) and [label] its spec's
+    [target_name] — the target chosen for it ({!query.target_concept}).
+    The synthetic hierarchy's labels differ from the paper's names, so
+    the second case is how a Table I target is reached by name. *)
+
 (* Table I columns, per query: *)
 
 val result_count : query -> int

@@ -143,6 +143,37 @@ let test_csv_exports () =
         Alcotest.(check bool) "quoted label" true (contains ~sub:("\"" ^ name ^ "\"") t1))
     w.Q.queries
 
+(* [navigate <query> --auto "<Table I target>"]: the paper's target name
+   resolves to the chosen target concept, which the oracle then reaches.
+   Seed 11 is the CLI's default corpus. *)
+let test_resolve_table1_targets () =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun q ->
+          let name = q.Q.spec.Q.target_name in
+          match Q.resolve_target w ~query:(String.uppercase_ascii q.Q.keyword) name with
+          | None -> Alcotest.failf "%s: target %S unresolved" q.Q.keyword name
+          | Some concept ->
+              Alcotest.(check int) (name ^ ": concept") q.Q.target_concept concept;
+              let target =
+                match Nav_tree.node_of_concept q.Q.nav concept with
+                | Some node -> node
+                | None -> Alcotest.failf "%s: target holds no results" name
+              in
+              let session = Navigation.start (Navigation.bionav ()) q.Q.nav in
+              let o = Simulate.to_target session ~target in
+              Alcotest.(check bool) (name ^ ": reached") true (o.Simulate.expands > 0))
+        w.Q.queries)
+    [ Lazy.force workload; Q.build ~config:Q.small_config ~seed:11 () ];
+  let w = Lazy.force workload in
+  let q = List.hd w.Q.queries in
+  let label = H.label w.Q.hierarchy q.Q.target_concept in
+  Alcotest.(check (option int)) "exact label first" (H.find_by_label w.Q.hierarchy label)
+    (Q.resolve_target w ~query:q.Q.keyword label);
+  Alcotest.(check (option int)) "another query's target name" None
+    (Q.resolve_target w ~query:"no such query" q.Q.spec.Q.target_name)
+
 let () =
   Alcotest.run "workload"
     [
@@ -154,6 +185,7 @@ let () =
           Alcotest.test_case "targets unrelated" `Quick test_targets_unrelated_to_cluster;
           Alcotest.test_case "table1 columns" `Quick test_table1_columns;
           Alcotest.test_case "deterministic" `Quick test_deterministic_build;
+          Alcotest.test_case "resolve Table I targets" `Quick test_resolve_table1_targets;
         ] );
       ( "experiment",
         [
