@@ -514,8 +514,8 @@ let serve_cmd =
         rate_limit }
     in
     (* With multiple serving domains, speculation moves off the request
-       path onto its own background domain (each tick takes the shard
-       locks, so it never races the workers). *)
+       path onto its own background domain (its ticks take no shard
+       lock, only the engine-wide speculator's and plan cache's). *)
     let pd =
       if prefetch && domains > 1 then
         Some (Engine.spawn_prefetch_domain (Bionav_web.App.engine app) ~budget:4)

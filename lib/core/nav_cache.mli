@@ -3,7 +3,13 @@
     Paper §VII: the navigation tree "is done once for each user query" —
     the expensive on-line step (attachment lookup over every result citation
     plus the maximum embedding). Exploratory users reissue queries, so the
-    navigation subsystem memoizes trees behind an LRU. *)
+    navigation subsystem memoizes trees behind an LRU.
+
+    One cache serves every domain of the engine. It is single-flight:
+    concurrent misses on one key run one build, outside the cache's lock,
+    and the other requesters wait for it and count as hits. The lock is a
+    leaf lock: no other lock is taken while holding it, and a waiter
+    releases it while it waits. *)
 
 type t
 
@@ -18,23 +24,28 @@ val normalize : string -> string
     what "the same query" means. *)
 
 val get : t -> string -> Nav_tree.t
-(** Cached or freshly built. *)
+(** Cached or freshly built with the cache's [build]. *)
+
+val find_or_build : t -> string -> (unit -> Nav_tree.t) -> Nav_tree.t
+(** [find_or_build t key build]: the tree cached under [key] (used
+    verbatim, {e not} normalized), or the one [build ()] returns, which is
+    then cached. Concurrent calls for one missing key run one [build]; if
+    it raises, every caller waiting for it gets the exception and nothing
+    is cached. Derived navigation spaces go through here, since their
+    keys embed a space path the cache's [build] could not run as a
+    query. *)
 
 val put : t -> string -> Nav_tree.t -> unit
 (** Seed the cache with an externally built tree under the normalized
     query key (warm start); replaces any existing entry. Counts neither as
     a hit nor a miss. *)
 
-val find : t -> string -> Nav_tree.t option
-(** Lookup under a caller-composed key (used verbatim, {e not}
-    normalized), with no build fallback — the path derived navigation
-    spaces take: their keys embed a space path the [build] closure could
-    not run as a query. Counts as a hit or miss like {!get}. *)
-
 val fold_trees : t -> (Nav_tree.t -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the cached trees in unspecified order without touching
-    recency or hit/miss statistics — for observability walks such as the
-    engine's docset-arena gauges. *)
+(** Fold over the trees cached when the fold starts, in unspecified
+    order, without touching recency or hit/miss statistics — for
+    observability walks such as the engine's docset-arena gauges. The
+    callback runs outside the lock; using the cache from inside it raises
+    [Invalid_argument]. *)
 
 val hit_rate : t -> float
 (** Hits / lookups since creation or the last {!clear}; 0 before the

@@ -59,10 +59,11 @@ type frame = {
   fnavigation : Navigation.t;
 }
 
-(* A session is pinned to the shard that created it ([home]): its
-   navigation trees came out of that shard's cache and the active tree's
-   arena is mutated on every expand, so all mutation happens under
-   [home.lock]. Reads go through [snapshot]: an immutable epoch-versioned
+(* A session is pinned to the shard that created it ([home]), and all
+   mutation of its navigation state happens under [home.lock]. Its trees
+   come out of the engine-wide cache and may be shared with sessions of
+   other shards; their arenas are internally synchronized. Reads go
+   through [snapshot]: an immutable epoch-versioned
    view of the {e top} frame republished (RCU-style) after every
    mutation, consumed with [Atomic.get] and no lock (DESIGN.md §12).
    [frames] is itself an Atomic so the off-lock speculation drain can
@@ -75,6 +76,7 @@ type session = {
       (* the effective base strategy; per-frame strategies derive from it *)
   frames : frame list Atomic.t;  (* top frame first *)
   home : shard;
+  engine : t;
   snapshot : Nav_snapshot.t Atomic.t;
   pending_spec : int list Atomic.t;
       (* nodes revealed since the last speculation pass; appended (under
@@ -93,33 +95,33 @@ and shard = {
   lock : Mutex.t;
   lock_owner : int Atomic.t;  (* domain id holding [lock]; -1 when free *)
   swaiters : Metrics.gauge;  (* per-shard lock queue depth *)
-  cache : Nav_cache.t;
-  sprefetch : Prefetch.t option;
-  sguard : Guard.t option;
-  sadaptive : Adaptive.t option;  (* engine-wide learned model, shared by all shards *)
-  sderiver : Nav_space.deriver;  (* derives refined/faceted spaces; used under the lock *)
-  sbudget : (unit -> unit -> bool) option;
-      (* the EXPAND budget factory handed to Navigation.set_budget, when
-         a guard or a budget is configured. The deadline starts first so
-         an injected latency spike (the "expand" half of a fault plan)
-         eats into it — exactly the overload signal that triggers
-         degradation. *)
-  srun_search : string -> Docset.t;
+  sderiver : Nav_space.deriver;
+      (* derives refined/faceted spaces; used under the lock only, so its
+         lazily built facet index is never forced from two domains *)
   sessions : (string, session) Hashtbl.t;
   shard_max : int;  (* per-shard session bound *)
-  sarena_stats : Docset_arena.stats Atomic.t;
-      (* aggregate over this shard's reachable arenas, refreshed on lock
+  sarenas : Docset_arena.t list Atomic.t;
+      (* the arenas of this shard's session frames, republished on lock
          release so the metrics scrape never takes the lock *)
   mutable sclock : int;
   mutable sevictions : int;
 }
 
-type t = {
+and t = {
   config : config;
   database : Bionav_store.Database.t;
   store : Bionav_segstore.Store.t option;
   eutils : Eutils.t;
-  search_lock : Mutex.t;  (* confines the inverted index's shared arena *)
+  cache : Nav_cache.t;  (* engine-wide, single-flight: every tree is built once *)
+  prefetch : Prefetch.t option;  (* engine-wide plan cache and speculator *)
+  guard : Guard.t option;
+  budget : (unit -> unit -> bool) option;
+      (* the EXPAND budget factory handed to Navigation.set_budget, when
+         a guard or a budget is configured. The deadline starts first so
+         an injected latency spike (the "expand" half of a fault plan)
+         eats into it — exactly the overload signal that triggers
+         degradation. *)
+  run_search : string -> Docset.t;  (* esearch under the guard *)
   shards : shard array;
   next_sid : int Atomic.t;
   adaptive : Adaptive.t option;
@@ -164,25 +166,24 @@ let add_arena_stats acc (st : Docset_arena.stats) =
       memo_hits = acc.memo_hits + st.memo_hits;
     }
 
-(* Aggregate stats over the arenas this shard can reach (cached trees +
-   every frame of every live session, physically deduplicated). Called
-   under the shard lock. *)
-let shard_arena_stats shard =
-  let arenas = ref [] in
-  let note a = if not (List.memq a !arenas) then arenas := a :: !arenas in
-  Nav_cache.fold_trees shard.cache (fun nav () -> note (Nav_tree.arena nav)) ();
-  Hashtbl.iter
-    (fun _ s -> List.iter (fun fr -> note (Nav_tree.arena fr.fnav)) (Atomic.get s.frames))
-    shard.sessions;
-  List.fold_left (fun acc a -> add_arena_stats acc (Docset_arena.stats a)) zero_arena_stats !arenas
+let note_arena arenas a = if List.memq a arenas then arenas else a :: arenas
+
+(* The arenas of every frame of every live session of this shard,
+   physically deduplicated. Called under the shard lock. *)
+let shard_arenas shard =
+  Hashtbl.fold
+    (fun _ s acc ->
+      List.fold_left (fun acc fr -> note_arena acc (Nav_tree.arena fr.fnav)) acc
+        (Atomic.get s.frames))
+    shard.sessions []
 
 (* Every acquisition of a shard lock goes through here: it detects
    same-domain re-entry (the mutexes are non-reentrant, so that would
    deadlock), maintains the wait/hold histograms and the per-shard
-   queue-depth gauge, and refreshes the shard's published arena stats on
-   the way out. *)
+   queue-depth gauge, and republishes the shard's arena list on the way
+   out. *)
 let with_shard shard f =
-  let me = Ownership.self_id () in
+  let me = (Domain.self () :> int) in
   if Atomic.get shard.lock_owner = me then
     invalid_arg
       (Printf.sprintf
@@ -198,7 +199,7 @@ let with_shard shard f =
   Metrics.incr lock_acq_counter;
   Atomic.set shard.lock_owner me;
   let release () =
-    Atomic.set shard.sarena_stats (shard_arena_stats shard);
+    Atomic.set shard.sarenas (shard_arenas shard);
     Atomic.set shard.lock_owner (-1);
     Metrics.observe lock_hold_hist (Timing.now_ms () -. t1);
     Mutex.unlock shard.lock
@@ -247,66 +248,45 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
         ( Some st,
           Bionav_segstore.Bridge.database st (Bionav_store.Database.hierarchy database) )
   in
-  let search_lock = Mutex.create () in
-  let index_arena = Bionav_search.Inverted_index.arena (Eutils.index eutils) in
   let adaptive =
     Option.map
       (fun cfg -> Adaptive.create ~config:cfg ~now_ms:(fun () -> Clock.now_ms config.clock) ())
       config.adaptive
   in
+  let guard =
+    match (config.resilience, chaos) with
+    | None, None -> None
+    | cfg, chaos ->
+        let gconfig = Option.value cfg ~default:Guard.default_config in
+        Some (Guard.create ?chaos ~config:gconfig ~clock:config.clock ())
+  in
+  let run_search query =
+    match guard with
+    | None -> Eutils.esearch eutils query
+    | Some g -> (
+        match Guard.call g ~op:"esearch" (fun () -> Eutils.esearch eutils query) with
+        | Ok ids -> ids
+        | Error e -> raise (Backend_unavailable (Guard.error_message e)))
+  in
+  let budget_factory () =
+    let deadline =
+      Option.map
+        (fun budget_ms -> Deadline.start ~clock:config.clock ~budget_ms)
+        config.expand_budget_ms
+    in
+    (match guard with None -> () | Some g -> Guard.inject g ~op:"expand");
+    match deadline with None -> fun () -> false | Some d -> fun () -> Deadline.expired d
+  in
   let make_shard snum =
-    let guard =
-      match (config.resilience, chaos) with
-      | None, None -> None
-      | cfg, chaos ->
-          let gconfig = Option.value cfg ~default:Guard.default_config in
-          Some (Guard.create ?chaos ~config:gconfig ~clock:config.clock ())
-    in
-    let run_search query =
-      (* esearch interns into the process-wide index arena: serialized
-         across shards, and the arena is adopted by whichever domain got
-         the lock. Only tree-cache misses pay this. *)
-      let locked () =
-        Mutex.protect search_lock (fun () ->
-            Docset_arena.adopt index_arena;
-            Eutils.esearch eutils query)
-      in
-      match guard with
-      | None -> locked ()
-      | Some g -> (
-          match Guard.call g ~op:"esearch" locked with
-          | Ok ids -> ids
-          | Error e -> raise (Backend_unavailable (Guard.error_message e)))
-    in
-    let build query = Nav_tree.of_database database (run_search query) in
-    let budget_factory () =
-      let deadline =
-        Option.map
-          (fun budget_ms -> Deadline.start ~clock:config.clock ~budget_ms)
-          config.expand_budget_ms
-      in
-      (match guard with None -> () | Some g -> Guard.inject g ~op:"expand");
-      match deadline with None -> fun () -> false | Some d -> fun () -> Deadline.expired d
-    in
     {
       snum;
       lock = Mutex.create ();
       lock_owner = Atomic.make (-1);
       swaiters = Metrics.gauge (Printf.sprintf "bionav_shard_lock_waiters_s%d" snum);
-      cache = Nav_cache.create ~capacity:config.cache_capacity ~build ();
-      sprefetch =
-        Option.map (fun pc -> Prefetch.create ~config:pc ~clock:config.clock ()) config.prefetch;
-      sguard = guard;
-      sadaptive = adaptive;
       sderiver = Nav_space.deriver ~medline:(Eutils.medline eutils) database;
-      sbudget =
-        (if Option.is_some guard || Option.is_some config.expand_budget_ms then
-           Some budget_factory
-         else None);
-      srun_search = run_search;
       sessions = Hashtbl.create 64;
       shard_max = max 1 (config.max_sessions / config.shards);
-      sarena_stats = Atomic.make zero_arena_stats;
+      sarenas = Atomic.make [];
       sclock = 0;
       sevictions = 0;
     }
@@ -317,7 +297,18 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
       database;
       store;
       eutils;
-      search_lock;
+      cache =
+        Nav_cache.create ~capacity:config.cache_capacity
+          ~build:(fun query -> Nav_tree.of_database database (run_search query))
+          ();
+      prefetch =
+        Option.map (fun pc -> Prefetch.create ~config:pc ~clock:config.clock ()) config.prefetch;
+      guard;
+      budget =
+        (if Option.is_some guard || Option.is_some config.expand_budget_ms then
+           Some budget_factory
+         else None);
+      run_search;
       shards = Array.init config.shards make_shard;
       next_sid = Atomic.make 0;
       adaptive;
@@ -327,23 +318,20 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
   | None -> ()
   | Some path ->
       let entries = Snapshot.load ~db:database path in
-      let n = ref 0 in
-      Array.iter
-        (fun shard ->
-          n :=
-            Warmer.apply ~db:database ~trees:shard.cache
-              ?plans:(Option.map Prefetch.plans shard.sprefetch)
-              ?model:(Option.map Adaptive.model t.adaptive)
-              entries)
-        t.shards;
-      Logs.info (fun m -> m "engine: warm-started %d quer%s from %s" !n
-                     (if !n = 1 then "y" else "ies") path));
+      let n =
+        Warmer.apply ~db:database ~trees:t.cache
+          ?plans:(Option.map Prefetch.plans t.prefetch)
+          ?model:(Option.map Adaptive.model t.adaptive)
+          entries
+      in
+      Logs.info (fun m -> m "engine: warm-started %d quer%s from %s" n
+                     (if n = 1 then "y" else "ies") path));
   t
 
 let eutils t = t.eutils
 let config t = t.config
-let prefetch t = t.shards.(0).sprefetch
-let guard t = t.shards.(0).sguard
+let prefetch t = t.prefetch
+let guard t = t.guard
 let resilience_clock t = t.config.clock
 let shard_count t = Array.length t.shards
 let segstore t = t.store
@@ -378,7 +366,7 @@ let descriptor_frame fr = fr.fdim = Nav_space.Descriptor
 (* The session engaged with [node] (expanded it or listed its results):
    record the evidence and stop counting the concept as merely seen. *)
 let note_engaged s observe node =
-  match s.home.sadaptive with
+  match s.engine.adaptive with
   | None -> ()
   | Some ad ->
       let fr = top_frame s in
@@ -391,7 +379,7 @@ let note_engaged s observe node =
       end
 
 let note_revealed s revealed =
-  match s.home.sadaptive with
+  match s.engine.adaptive with
   | None -> ()
   | Some _ ->
       let fr = top_frame s in
@@ -406,7 +394,7 @@ let note_revealed s revealed =
    IGNORE evidence. Called under the shard lock on every exit path
    (close, LRU eviction, TTL sweep). *)
 let flush_ignores s =
-  match s.home.sadaptive with
+  match s.engine.adaptive with
   | None -> ()
   | Some ad ->
       Hashtbl.iter (fun concept () -> Adaptive.observe_ignore ad ~concept) s.seen_concepts;
@@ -488,48 +476,20 @@ let touch t s =
   s.tick <- shard.sclock;
   s.last_use_ms <- Clock.now_ms t.config.clock
 
-(* A session of [query] just left this shard. If it was the shard's last
-   one for that query, cancel the shard's queued speculation — a dead
-   session must not leave pending work behind. Cached plans stay: they
-   are keyed by exact component and remain correct for future sessions.
-   Prefetch state is shard-local, so only this shard's sessions matter. *)
-let release_query shard query =
-  match shard.sprefetch with
-  | None -> ()
-  | Some pf ->
-      let norm = Nav_cache.normalize query in
-      let still_live =
-        Hashtbl.fold
-          (fun _ s acc -> acc || String.equal norm (Nav_cache.normalize s.query))
-          shard.sessions false
-      in
-      if not still_live then ignore (Prefetch.drop_query pf query : int)
+(* Speculation is queued per frame key, and the speculator counts the
+   live sessions holding each key open, across all shards: the last
+   holder to leave drops the key's queued jobs, so a dead session leaves
+   no pending work behind. Cached plans stay: they are keyed by exact
+   component and remain correct for future sessions. *)
+let hold_key s fkey =
+  Option.iter (fun pf -> Speculator.hold (Prefetch.speculator pf) fkey) s.engine.prefetch
 
-(* Derived frames speculate under their own composite keys; drop those
-   too when the leaving session was the last one holding the space open
-   on this shard. The base frame's key is the bare query and goes through
-   [release_query]'s normalized comparison. *)
-let release_frames shard s =
-  (match shard.sprefetch with
-  | None -> ()
-  | Some pf ->
-      List.iter
-        (fun fr ->
-          if not (String.equal fr.fkey s.query) then begin
-            let shared =
-              Hashtbl.fold
-                (fun _ other acc ->
-                  acc
-                  || (other != s
-                     && List.exists
-                          (fun f2 -> String.equal f2.fkey fr.fkey)
-                          (Atomic.get other.frames)))
-                shard.sessions false
-            in
-            if not shared then ignore (Prefetch.drop_query pf fr.fkey : int)
-          end)
-        (Atomic.get s.frames));
-  release_query shard s.query
+let release_key s fkey =
+  Option.iter
+    (fun pf -> ignore (Speculator.release (Prefetch.speculator pf) fkey : int))
+    s.engine.prefetch
+
+let release_frames s = List.iter (fun fr -> release_key s fr.fkey) (Atomic.get s.frames)
 
 let evict_lru shard =
   let victim =
@@ -544,7 +504,7 @@ let evict_lru shard =
       Hashtbl.remove shard.sessions s.sid;
       shard.sevictions <- shard.sevictions + 1;
       Metrics.incr evicted_counter;
-      release_frames shard s;
+      release_frames s;
       Logs.debug (fun m -> m "engine: evicted session %s (shard %d full)" s.sid shard.snum)
   | None -> ()
 
@@ -552,15 +512,16 @@ type search_outcome = No_results | Session of session
 
 (* Wire a frame's navigation into the engine services: the EXPAND budget,
    the plan cache (keyed by the frame's space key) and the speculation
-   observer. Shared by the base frame ([search]) and every derived frame
-   ([refine]/[facet]). The observer only records reveals into
-   [pending_spec]; ranking runs off-lock against the published snapshot
-   (see [drain_speculation]). *)
-let wire_frame shard ~fkey ~pending_spec navigation =
-  (match shard.sbudget with
+   observer, and hold the key open for speculation. Shared by the base
+   frame ([search]) and every derived frame ([refine]/[facet]). The
+   observer only records reveals into [pending_spec]; ranking runs
+   off-lock against the published snapshot (see [drain_speculation]). *)
+let wire_frame s ~fkey navigation =
+  (match s.engine.budget with
   | None -> ()
   | Some factory -> Navigation.set_budget navigation (Some factory));
-  match shard.sprefetch with
+  hold_key s fkey;
+  match s.engine.prefetch with
   | Some pf -> (
       Prefetch.attach_plans pf ~query:fkey navigation;
       match Navigation.strategy navigation with
@@ -568,21 +529,17 @@ let wire_frame shard ~fkey ~pending_spec navigation =
           Navigation.set_on_expand navigation
             (Some
                (fun ~node:_ ~revealed ->
-                 Atomic.set pending_spec (revealed @ Atomic.get pending_spec)))
+                 Atomic.set s.pending_spec (revealed @ Atomic.get s.pending_spec)))
       | Navigation.Optimal _ | Navigation.Static | Navigation.Static_paged _ -> ())
   | None -> ()
 
 (* Fetch or derive a navigation space for a derived frame, through the
-   shard's tree cache under the frame's composite key — so revisiting a
-   refinement path is a cache hit, not a re-derivation. Runs under the
-   shard lock. *)
-let derived_space shard ~fkey ~dim subset =
-  match Nav_cache.find shard.cache fkey with
-  | Some nav -> nav
-  | None ->
-      let nav = Nav_space.derive shard.sderiver dim subset in
-      Nav_cache.put shard.cache fkey nav;
-      nav
+   engine-wide cache under the frame's composite key — so revisiting a
+   refinement path, from any shard, is a cache hit, not a re-derivation.
+   Runs under the shard lock, which is what confines the shard's
+   deriver. *)
+let derived_space t shard ~fkey ~dim subset =
+  Nav_cache.find_or_build t.cache fkey (fun () -> Nav_space.derive shard.sderiver dim subset)
 
 let frame_key query fid = Nav_cache.normalize query ^ "\x1f" ^ fid
 
@@ -593,67 +550,63 @@ let search t ?(strategy = Navigation.bionav ()) query =
       if String.trim query = "" then Error "empty query"
       else begin
         let strategy = effective_strategy t strategy in
-        (* The sid is allocated before the (fallible) tree build so the
-           shard — and therefore the lock and cache — can be chosen up
-           front; a failed search burns an id, which stays monotonic. *)
+        (* The tree is resolved before the shard lock is taken: a miss
+           builds it once, however many domains ask for it. A failed
+           search still burns an id, which stays monotonic. *)
         let sid = Printf.sprintf "s%d" (Atomic.fetch_and_add t.next_sid 1) in
         let shard = shard_of_sid t sid in
-        with_shard shard (fun () ->
-            match Nav_cache.get shard.cache query with
-            | exception Backend_unavailable msg -> Error msg
-            | nav ->
-                Docset_arena.adopt (Nav_tree.arena nav);
-                if Nav_tree.distinct_results nav = 0 then Ok No_results
-                else begin
-                  while Hashtbl.length shard.sessions >= shard.shard_max do
-                    evict_lru shard
-                  done;
-                  (* A Faceted base strategy starts the session in the
-                     qualifier-facet space of the full result set; the
-                     descriptor tree built above stays cached for later
-                     refinements. Everything else starts on descriptors. *)
-                  let base =
-                    match strategy with
-                    | Navigation.Faceted _ ->
-                        let fid = "qualifier" in
-                        let fkey = frame_key query fid in
-                        let subset = Nav_tree.subtree_results nav (Nav_tree.root nav) in
-                        let fnav =
-                          derived_space shard ~fkey ~dim:Nav_space.Qualifier_facet subset
-                        in
-                        { fid; fdim = Nav_space.Qualifier_facet; fkey; fnav;
-                          fnavigation = Navigation.start strategy fnav }
-                    | _ ->
-                        { fid = "descriptor"; fdim = Nav_space.Descriptor; fkey = query;
-                          fnav = nav; fnavigation = Navigation.start strategy nav }
-                  in
-                  Docset_arena.adopt (Nav_tree.arena base.fnav);
-                  let s =
-                    {
-                      sid;
-                      query;
-                      sstrategy = strategy;
-                      frames = Atomic.make [ base ];
-                      home = shard;
-                      snapshot =
-                        Atomic.make
-                          (Nav_snapshot.capture ~epoch:0 ~query ~space:base.fid
-                             ~refine_depth:0 base.fnavigation);
-                      pending_spec = Atomic.make [];
-                      seen_concepts = Hashtbl.create 16;
-                      epoch = 0;
-                      tick = 0;
-                      last_use_ms = 0.;
-                    }
-                  in
-                  touch t s;
-                  Hashtbl.replace shard.sessions sid s;
-                  wire_frame shard ~fkey:base.fkey ~pending_spec:s.pending_spec
-                    base.fnavigation;
-                  Metrics.incr started_counter;
-                  publish_live t;
-                  Ok (Session s)
-                end)
+        match Nav_cache.get t.cache query with
+        | exception Backend_unavailable msg -> Error msg
+        | nav when Nav_tree.distinct_results nav = 0 -> Ok No_results
+        | nav ->
+            with_shard shard (fun () ->
+                while Hashtbl.length shard.sessions >= shard.shard_max do
+                  evict_lru shard
+                done;
+                (* A Faceted base strategy starts the session in the
+                   qualifier-facet space of the full result set; the
+                   descriptor tree resolved above stays cached for later
+                   refinements. Everything else starts on descriptors. *)
+                let base =
+                  match strategy with
+                  | Navigation.Faceted _ ->
+                      let fid = "qualifier" in
+                      let fkey = frame_key query fid in
+                      let subset = Nav_tree.subtree_results nav (Nav_tree.root nav) in
+                      let fnav =
+                        derived_space t shard ~fkey ~dim:Nav_space.Qualifier_facet subset
+                      in
+                      { fid; fdim = Nav_space.Qualifier_facet; fkey; fnav;
+                        fnavigation = Navigation.start strategy fnav }
+                  | _ ->
+                      { fid = "descriptor"; fdim = Nav_space.Descriptor; fkey = query;
+                        fnav = nav; fnavigation = Navigation.start strategy nav }
+                in
+                let s =
+                  {
+                    sid;
+                    query;
+                    sstrategy = strategy;
+                    frames = Atomic.make [ base ];
+                    home = shard;
+                    engine = t;
+                    snapshot =
+                      Atomic.make
+                        (Nav_snapshot.capture ~epoch:0 ~query ~space:base.fid ~refine_depth:0
+                           base.fnavigation);
+                    pending_spec = Atomic.make [];
+                    seen_concepts = Hashtbl.create 16;
+                    epoch = 0;
+                    tick = 0;
+                    last_use_ms = 0.;
+                  }
+                in
+                touch t s;
+                Hashtbl.replace shard.sessions sid s;
+                wire_frame s ~fkey:base.fkey base.fnavigation;
+                Metrics.incr started_counter;
+                publish_live t;
+                Ok (Session s))
       end
 
 let find_session t sid =
@@ -673,7 +626,7 @@ let close t sid =
           flush_ignores s;
           Hashtbl.remove shard.sessions sid;
           Metrics.incr closed_counter;
-          release_frames shard s;
+          release_frames s;
           publish_live t;
           true
       | None -> false)
@@ -697,7 +650,7 @@ let sweep ?now_ms t =
                   flush_ignores s;
                   Hashtbl.remove shard.sessions s.sid)
                 expired;
-              List.iter (fun s -> release_frames shard s) expired;
+              List.iter release_frames expired;
               total := !total + List.length expired))
         t.shards;
       let n = !total in
@@ -732,7 +685,7 @@ let publish s =
    refined or unrefined concurrently) is dropped wholesale — speculation
    stays within the active space. *)
 let drain_speculation s =
-  match s.home.sprefetch with
+  match s.engine.prefetch with
   | None -> ()
   | Some pf -> (
       match Atomic.exchange s.pending_spec [] with
@@ -745,24 +698,27 @@ let drain_speculation s =
               if String.equal (Nav_snapshot.space snap) fr.fid then begin
                 let revealed = List.sort_uniq Int.compare revealed in
                 let ranked = Speculator.rank_snapshot ~model snap revealed in
-                let budget = (Prefetch.config pf).Prefetch.budget_per_action in
-                if ranked <> [] || budget > 0 then
+                if ranked <> [] then
                   with_shard s.home (fun () ->
-                      (* Re-check under the lock: enqueue only if the frame
-                         is still the live top (space ids are unique within
-                         a session's stack, so fid equality suffices). *)
-                      if String.equal (top_frame s).fid fr.fid then begin
+                      (* Re-check under the lock: enqueue only if the
+                         session is still live (a session that left has
+                         released its keys) and the frame is still its
+                         top (space ids are unique within a session's
+                         stack, so fid equality suffices). *)
+                      if Hashtbl.mem s.home.sessions s.sid
+                         && String.equal (top_frame s).fid fr.fid
+                      then
                         Speculator.enqueue_ranked (Prefetch.speculator pf) ~query:fr.fkey
-                          snap ~k ~model ranked;
-                        ignore (Prefetch.tick pf ~budget : int)
-                      end)
+                          snap ~k ~model ranked);
+                (* The budgeted tick computes cuts with no lock held. *)
+                ignore (Prefetch.tick pf ~budget:(Prefetch.config pf).Prefetch.budget_per_action
+                        : int)
               end
           | Navigation.Optimal _ | Navigation.Static | Navigation.Static_paged _ -> ()))
 
 let run_locked s f =
   let r =
     with_shard s.home (fun () ->
-        Docset_arena.adopt (Nav_tree.arena (top_frame s).fnav);
         let r = f () in
         publish s;
         r)
@@ -793,13 +749,11 @@ let backtrack s = run_locked s (fun () -> Navigation.backtrack (navigation s))
    budget/plans/speculation, and publish. Pending speculation of the old
    frame is cleared — speculation stays within the active space. *)
 let push_frame s ~fid ~dim subset =
-  let shard = s.home in
   let fkey = frame_key s.query fid in
-  let fnav = derived_space shard ~fkey ~dim subset in
-  Docset_arena.adopt (Nav_tree.arena fnav);
-  let fnavigation = Navigation.start (frame_strategy shard.sadaptive s.sstrategy dim) fnav in
+  let fnav = derived_space s.engine s.home ~fkey ~dim subset in
+  let fnavigation = Navigation.start (frame_strategy s.engine.adaptive s.sstrategy dim) fnav in
   let fr = { fid; fdim = dim; fkey; fnav; fnavigation } in
-  wire_frame shard ~fkey ~pending_spec:s.pending_spec fnavigation;
+  wire_frame s ~fkey fnavigation;
   Atomic.set s.pending_spec [];
   Atomic.set s.frames (fr :: Atomic.get s.frames);
   Metrics.incr refinements_counter;
@@ -845,21 +799,9 @@ let unrefine s =
           Atomic.set s.pending_spec [];
           Atomic.set s.frames rest;
           (* Cancel the popped space's queued speculation unless another
-             session on this shard still navigates it. Plans stay cached:
-             revisiting the space serves them again. *)
-          (match s.home.sprefetch with
-          | Some pf when not (String.equal popped.fkey s.query) ->
-              let shared =
-                Hashtbl.fold
-                  (fun _ other acc ->
-                    acc
-                    || List.exists
-                         (fun f2 -> String.equal f2.fkey popped.fkey)
-                         (Atomic.get other.frames))
-                  s.home.sessions false
-              in
-              if not shared then ignore (Prefetch.drop_query pf popped.fkey : int)
-          | Some _ | None -> ());
+             session still navigates it. Plans stay cached: revisiting the
+             space serves them again. *)
+          release_key s popped.fkey;
           Metrics.set refine_depth_gauge (float_of_int (refine_depth s));
           true)
 
@@ -875,17 +817,7 @@ let start strategy nav =
 (* --- prefetch & warm start ---------------------------------------------- *)
 
 let prefetch_tick t ~budget =
-  Array.fold_left
-    (fun acc shard ->
-      match shard.sprefetch with
-      | None -> acc
-      | Some pf ->
-          acc
-          + with_shard shard (fun () ->
-                (* Speculation jobs compute cuts on trees cached in this
-                   shard; run_job adopts each job's arena itself. *)
-                Prefetch.tick pf ~budget))
-    0 t.shards
+  match t.prefetch with None -> 0 | Some pf -> Prefetch.tick pf ~budget
 
 type prefetch_domain = { stop_flag : bool Atomic.t; handle : unit Domain.t }
 
@@ -905,47 +837,26 @@ let stop_prefetch_domain pd =
   Domain.join pd.handle
 
 let warm t queries =
-  let model = Option.map Adaptive.model t.adaptive in
-  let entries = Warmer.build ~db:t.database ~run:t.shards.(0).srun_search ?model queries in
-  Array.iter
-    (fun shard ->
-      with_shard shard (fun () ->
-          ignore
-            (Warmer.apply ~db:t.database ~trees:shard.cache
-               ?plans:(Option.map Prefetch.plans shard.sprefetch)
-               ?model entries
-              : int)))
-    t.shards;
-  entries
+  Warmer.build ~db:t.database ~run:t.run_search
+    ?model:(Option.map Adaptive.model t.adaptive)
+    ~trees:t.cache
+    ?plans:(Option.map Prefetch.plans t.prefetch)
+    queries
 
 let save_snapshot t entries path = Snapshot.save ~db:t.database entries path
 
 (* --- observability ------------------------------------------------------ *)
 
-let cache_hit_rate t =
-  let hits, lookups =
-    Array.fold_left
-      (fun (h, l) shard ->
-        let sh = Nav_cache.hits shard.cache and sm = Nav_cache.misses shard.cache in
-        (h + sh, l + sh + sm))
-      (0, 0) t.shards
-  in
-  if lookups = 0 then 0. else float_of_int hits /. float_of_int lookups
+let cache_hit_rate t = Nav_cache.hit_rate t.cache
 
 let plan_cache_hit_rate t =
-  let hits, lookups =
-    Array.fold_left
-      (fun (h, l) shard ->
-        match shard.sprefetch with
-        | None -> (h, l)
-        | Some pf ->
-            let plans = Prefetch.plans pf in
-            let ph = Bionav_prefetch.Plan_cache.hits plans
-            and pm = Bionav_prefetch.Plan_cache.misses plans in
-            (h + ph, l + ph + pm))
-      (0, 0) t.shards
-  in
-  if lookups = 0 then 0. else float_of_int hits /. float_of_int lookups
+  match t.prefetch with
+  | None -> 0.
+  | Some pf ->
+      let plans = Prefetch.plans pf in
+      let hits = Bionav_prefetch.Plan_cache.hits plans
+      and misses = Bionav_prefetch.Plan_cache.misses plans in
+      if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
 
 let docset_sets_gauge = Metrics.gauge "bionav_docset_live_sets"
 let docset_bytes_gauge = Metrics.gauge "bionav_docset_resident_bytes"
@@ -953,19 +864,23 @@ let docset_dense_gauge = Metrics.gauge "bionav_docset_live_dense"
 let docset_sparse_gauge = Metrics.gauge "bionav_docset_live_sparse"
 let docset_dedup_gauge = Metrics.gauge "bionav_docset_dedup_hit_rate"
 
-(* Aggregate docset stats without any shard lock: the inverted index's
-   arena is read directly (pure reads are domain-safe; its plain stat
-   fields may lag the writer by a beat — monitoring tolerance), and each
-   shard contributes the aggregate it published at its last lock
-   release. The scrape path therefore never contends with navigation. *)
+(* Aggregate docset stats without any shard lock, counting each arena
+   once however many shards reach it: the inverted index's arena, the
+   cached trees' arenas, and the session-frame arenas each shard
+   published at its last lock release (so the figures may lag in-flight
+   work by one lock cycle). *)
 let docset_stats t =
-  let acc =
-    add_arena_stats zero_arena_stats
-      (Docset_arena.stats (Bionav_search.Inverted_index.arena (Eutils.index t.eutils)))
+  let arenas =
+    Nav_cache.fold_trees t.cache
+      (fun nav acc -> note_arena acc (Nav_tree.arena nav))
+      [ Bionav_search.Inverted_index.arena (Eutils.index t.eutils) ]
   in
-  Array.fold_left
-    (fun acc shard -> add_arena_stats acc (Atomic.get shard.sarena_stats))
-    acc t.shards
+  let arenas =
+    Array.fold_left
+      (fun acc shard -> List.fold_left note_arena acc (Atomic.get shard.sarenas))
+      arenas t.shards
+  in
+  List.fold_left (fun acc a -> add_arena_stats acc (Docset_arena.stats a)) zero_arena_stats arenas
 
 let publish_docset t =
   let st = docset_stats t in

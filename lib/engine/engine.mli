@@ -21,22 +21,28 @@
     This is the seam scaling work plugs into: entry points talk to the
     engine, never to [Navigation.start] directly.
 
-    {b Concurrency} (DESIGN.md §11–§12): the store is sharded
-    [config.shards] ways by session-id hash. Each shard owns a mutex, a
-    tree cache, prefetch state and a backend guard; sessions — and the
-    navigation trees and docset arenas behind them — are confined to
-    their shard and only {e mutated} under its lock, with the arena
-    {!Bionav_util.Docset_arena.adopt}ed by the locking domain. The one
-    cross-shard structure, the inverted index's arena, is confined by an
-    internal search lock taken only on tree-cache misses.
+    {b Concurrency} (DESIGN.md §11–§12): the session store is sharded
+    [config.shards] ways by session-id hash. Each shard owns a mutex,
+    and a session's navigation state is only {e mutated} under its
+    shard's lock. Trees and plans are engine-wide:
+    one single-flight tree cache ({!Bionav_core.Nav_cache}) and one
+    {!Bionav_prefetch.Prefetch} serve every shard, so each query's tree,
+    each refined space and each cut is built once per engine, and
+    sessions on different shards share them. Docset arenas are internally
+    synchronized, so a shared tree needs no hand-over between domains.
+    {!search} resolves its tree before it takes the shard lock. Lock
+    order: shard lock, then the guard's lock, then any of the arena,
+    tree-cache, plan-cache and speculator locks, which are leaf locks; no
+    domain waits for another domain's tree build while it holds a leaf
+    lock.
 
     Reads never take the shard lock: every mutating action republishes
     an immutable {!Bionav_search.Nav_snapshot} of the session (frozen
     arena, epoch-versioned), and {!snapshot} hands it out with one
     [Atomic.get]. The shard mutex covers only session-table mutation,
-    tree/plan-cache writes, speculation enqueueing and snapshot
-    publication; rendering, result paging, metrics scraping and
-    speculative {e ranking} all run lock-free. Lock behaviour is
+    session state, speculation enqueueing and snapshot publication;
+    rendering, result paging, metrics scraping, speculative {e ranking}
+    and speculative cut computation all run without it. Lock behaviour is
     instrumented: [bionav_shard_lock_wait_ms] / [_hold_ms] histograms,
     [bionav_shard_lock_acquisitions_total], and a
     [bionav_shard_lock_waiters_s<N>] queue-depth gauge per shard. Shard
@@ -64,10 +70,14 @@ type config = {
   session_ttl_ms : float option;
       (** Idle time after which {!sweep} expires a session. Default
           [None] (no TTL). *)
-  cache_capacity : int;  (** Navigation-tree cache entries. Default 32. *)
+  cache_capacity : int;
+      (** Entries of the engine-wide navigation-tree cache, which holds
+          query trees and derived spaces alike. Default 32. *)
   prefetch : Bionav_prefetch.Prefetch.config option;
-      (** Enable the plan cache + speculator ({!Bionav_prefetch}); every
-          Heuristic session is attached to it. Default [None] (off). *)
+      (** Enable the engine-wide plan cache + speculator
+          ({!Bionav_prefetch}); every Heuristic session is attached to it,
+          and [plan_capacity] bounds the plans of the whole engine.
+          Default [None] (off). *)
   clock : Bionav_resilience.Clock.t;
       (** The clock behind every engine timing decision. Default the
           real clock. *)
@@ -81,13 +91,12 @@ type config = {
           go straight to the backend) unless chaos is injected. *)
   shards : int;
       (** Session-store shards (>= 1, default 1). Sessions are hashed to
-          a shard by session id; each shard has its own mutex, tree
-          cache, prefetch state and guard, so expands on sessions in
-          different shards proceed in parallel while every navigation
-          tree stays confined to the shard that built it (the same query
-          may therefore be built once per shard). The per-shard session
-          bound is [max 1 (max_sessions / shards)]. A chaos plan requires
-          [shards = 1] (see {!create}). *)
+          a shard by session id; each shard has its own mutex, so
+          expands on sessions in different shards proceed in parallel.
+          Trees, plans and the backend guard are not per shard: they are
+          engine-wide whatever the shard count. The per-shard
+          session bound is [max 1 (max_sessions / shards)]. A chaos plan
+          requires [shards = 1] (see {!create}). *)
   segstore : Bionav_segstore.Store.spec option;
       (** Serve associations from an out-of-core segment store instead of
           the in-memory table: {!create} opens the store and rebinds the
@@ -117,7 +126,7 @@ val create :
   unit ->
   t
 (** [snapshot] is a {!Bionav_store.Snapshot} path to warm-start from:
-    navigation trees are rebuilt into the tree cache and — when prefetch
+    navigation trees are rebuilt once into the tree cache and — when prefetch
     is enabled — root cuts seed the plan cache. [chaos] injects a fault
     plan into the backend guard (forcing a guard into existence even
     when [config.resilience] is [None]): backend calls draw failures and
@@ -139,11 +148,11 @@ val eutils : t -> Bionav_search.Eutils.t
 val config : t -> config
 
 val prefetch : t -> Bionav_prefetch.Prefetch.t option
-(** Shard 0's prefetch facade, when enabled (prefetch state is
-    per-shard; shard 0 is the whole engine when [shards = 1]). *)
+(** The engine-wide prefetch facade (plan cache + speculator) shared by
+    every shard, when enabled. *)
 
 val guard : t -> Bionav_resilience.Guard.t option
-(** Shard 0's backend guard (for breaker/chaos introspection), when
+(** The engine's backend guard (for breaker/chaos introspection), when
     enabled. *)
 
 val shard_count : t -> int
@@ -255,18 +264,18 @@ val eviction_count : t -> int
 val expand : session -> int -> int list
 val show_results : session -> int -> Bionav_util.Docset.t
 val backtrack : session -> bool
-(** Each action takes the session's shard lock, adopts the tree's docset
-    arena for the calling domain (so any worker domain may serve any
-    session), and republishes the session {!snapshot} before releasing
-    the lock. The docset returned by {!show_results} lives in the live
+(** Each action takes the session's shard lock and republishes the
+    session {!snapshot} before releasing the lock; any worker domain may
+    serve any session. The docset returned by {!show_results} lives in the live
     arena but is safe to iterate after the lock is released (pure arena
     reads are domain-safe). *)
 
 val refine : session -> int -> int
 (** Query-by-navigation: narrow the live result set to the full
     navigation subtree [L(n)] of the given visible node, derive the
-    descriptor space of that subset (through the shard's tree cache —
-    revisiting a refinement path is a cache hit, not a re-derivation),
+    descriptor space of that subset (through the engine-wide tree cache —
+    revisiting a refinement path, from any shard, is a cache hit, not a
+    re-derivation),
     and push it as the session's new top frame. Returns the refined
     space's distinct result count. Pending speculation of the previous
     space is cancelled; the snapshot republishes with the new space id
@@ -288,9 +297,10 @@ val unrefine : session -> bool
     snapshots are never reused across space changes. *)
 
 val run_locked : session -> (unit -> 'a) -> 'a
-(** Run [f] holding the session's shard lock with the tree's arena
-    adopted — for bulk drivers (simulation replay) that make many tree
-    reads/expands as one atom — then republish the session {!snapshot}.
+(** Run [f] holding the session's shard lock — for bulk drivers
+    (simulation replay) that make many tree reads/expands as one atom —
+    then republish the session {!snapshot}, and afterwards, with the lock
+    released, queue speculation for what [f] revealed.
     Inside [f], use the raw {!Bionav_core.Navigation} operations,
     {b never} {!expand}/{!show_results}/{!backtrack} or a nested
     [run_locked]: the shard mutex is not reentrant, and re-entry from
@@ -310,17 +320,17 @@ val start :
 (* --- prefetch & warm start -------------------------------------------- *)
 
 val prefetch_tick : t -> budget:int -> int
-(** Run up to [budget] queued speculation jobs {e per shard} (idle-time
-    pacing, e.g. between requests in the serve loop), each shard ticked
-    under its own lock; 0 when prefetch is disabled. *)
+(** Run up to [budget] queued speculation jobs in total (idle-time
+    pacing, e.g. between requests in the serve loop) from the engine-wide
+    queue, with no shard lock held; 0 when prefetch is disabled. *)
 
 type prefetch_domain
 
 val spawn_prefetch_domain : ?interval_s:float -> t -> budget:int -> prefetch_domain
 (** Spawn a background domain calling {!prefetch_tick} every
-    [interval_s] seconds (default 0.01). Each tick takes the shard locks
-    in turn, so speculation never races request-serving domains over
-    shard state. Stop it with {!stop_prefetch_domain} before discarding
+    [interval_s] seconds (default 0.01). Ticks take no shard lock:
+    speculation reads only shared trees and the engine-wide queue and
+    plan cache, which carry their own locks. Stop it with {!stop_prefetch_domain} before discarding
     the engine. *)
 
 val stop_prefetch_domain : prefetch_domain -> unit
@@ -329,7 +339,8 @@ val stop_prefetch_domain : prefetch_domain -> unit
 val warm : t -> string list -> Bionav_store.Snapshot.entry list
 (** Run each query through the engine's own search path, build its
     navigation tree and root cut ({!Bionav_prefetch.Warmer.build}), and
-    seed the live caches. Returns the entries so the caller can persist
+    put each into the engine-wide caches, so each distinct query's tree
+    is built once. Returns the entries so the caller can persist
     them with {!save_snapshot}. Works with prefetch disabled (trees are
     still warmed; root cuts are only kept when the plan cache exists). *)
 
@@ -346,11 +357,11 @@ val plan_cache_hit_rate : t -> float
 
 val docset_stats : t -> Bionav_util.Docset_arena.stats
 (** Aggregate {!Bionav_util.Docset_arena.stats} over every arena the
-    engine can reach: the inverted index's long-lived arena plus one per
-    cached navigation tree (deduplicated physically — session trees come
-    out of the cache). Lock-free: the index arena is read directly and
-    each shard contributes the aggregate it published at its last lock
-    release, so the figures may lag in-flight work by one lock cycle. *)
+    engine can reach: the inverted index's long-lived arena, one per
+    cached navigation tree and one per session frame's tree, each counted
+    once however many shards share it. Takes no shard lock: each shard
+    contributes the arena list it published at its last lock release, so
+    the figures may lag in-flight work by one lock cycle. *)
 
 val metrics_text : t -> string
 (** Refresh the engine gauges — live session count plus the docset-arena

@@ -2,7 +2,7 @@ open Bionav_util
 open Bionav_core
 
 type entry = { members : int array; cut : int list }
-type t = { cache : (string, entry) Lru.t }
+type t = { cache : (string, entry) Lru.t; lock : Mutex.t (* leaf lock over [cache] *) }
 
 let hits_counter = Metrics.counter "bionav_prefetch_plan_hits_total"
 let misses_counter = Metrics.counter "bionav_prefetch_plan_misses_total"
@@ -11,7 +11,10 @@ let evictions_counter = Metrics.counter "bionav_prefetch_plan_evictions_total"
 
 let default_capacity = 512
 
-let create ?(capacity = default_capacity) () = { cache = Lru.create ~capacity }
+let create ?(capacity = default_capacity) () =
+  { cache = Lru.create ~capacity; lock = Mutex.create () }
+
+let locked t f = Mutex.protect t.lock f
 
 (* The member set arrives as an interned {!Docset.t}, so the key reuses its
    O(1) content fingerprint instead of re-folding the member list on every
@@ -24,7 +27,8 @@ let key query fingerprint root members =
 let same_members stored members = Docset.equal_array members stored
 
 let find t ~query ~fingerprint ~root ~members =
-  match Lru.find t.cache (key query fingerprint root members) with
+  let k = key query fingerprint root members in
+  match locked t (fun () -> Lru.find t.cache k) with
   | Some e when same_members e.members members ->
       Metrics.incr hits_counter;
       Some e.cut
@@ -33,7 +37,8 @@ let find t ~query ~fingerprint ~root ~members =
       None
 
 let mem t ~query ~fingerprint ~root ~members =
-  match Lru.peek t.cache (key query fingerprint root members) with
+  let k = key query fingerprint root members in
+  match locked t (fun () -> Lru.peek t.cache k) with
   | Some e -> same_members e.members members
   | None -> false
 
@@ -41,18 +46,25 @@ let store t ~query ~fingerprint ~root ~members ~cut =
   match cut with
   | [] -> ()
   | _ :: _ ->
-      let evictions_before = Lru.evictions t.cache in
-      Lru.add t.cache (key query fingerprint root members)
-        { members = Docset.to_array members; cut };
+      let k = key query fingerprint root members in
+      let e = { members = Docset.to_array members; cut } in
+      let evicted =
+        locked t (fun () ->
+            let evictions_before = Lru.evictions t.cache in
+            Lru.add t.cache k e;
+            Lru.evictions t.cache > evictions_before)
+      in
       Metrics.incr insertions_counter;
-      if Lru.evictions t.cache > evictions_before then Metrics.incr evictions_counter
+      if evicted then Metrics.incr evictions_counter
 
-let length t = Lru.length t.cache
-let hits t = Lru.hits t.cache
-let misses t = Lru.misses t.cache
+let length t = locked t (fun () -> Lru.length t.cache)
+let hits t = locked t (fun () -> Lru.hits t.cache)
+let misses t = locked t (fun () -> Lru.misses t.cache)
+
 let clear t =
-  Lru.clear t.cache;
-  Lru.reset_counters t.cache
+  locked t (fun () ->
+      Lru.clear t.cache;
+      Lru.reset_counters t.cache)
 
 let plan_source t ~query ~fingerprint =
   {

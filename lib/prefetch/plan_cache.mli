@@ -19,7 +19,9 @@
     never serve a wrong plan — the served cut is always byte-identical to
     what a fresh computation over the same component would feed the active
     tree. Backed by {!Bionav_util.Lru}; instrumented with the
-    [bionav_prefetch_plan_*] metrics. *)
+    [bionav_prefetch_plan_*] metrics. One cache serves every domain of
+    the engine: each operation takes an internal leaf lock for its LRU
+    probe or insert only. *)
 
 type t
 

@@ -19,6 +19,8 @@ type t = {
   max_queue : int;
   clock : Clock.t;
   job_ttl_ms : float option;
+  lock : Mutex.t;  (* leaf lock over [queue], [holders] and the counters *)
+  holders : (string, int) Hashtbl.t;  (* normalized key -> sessions holding it *)
   mutable executed : int;
   mutable dropped : int;
   mutable expired : int;
@@ -43,15 +45,34 @@ let create ?(top_m = 2) ?(max_queue = 64) ?(clock = Clock.real) ?job_ttl_ms cach
     max_queue;
     clock;
     job_ttl_ms;
+    lock = Mutex.create ();
+    holders = Hashtbl.create 16;
     executed = 0;
     dropped = 0;
     expired = 0;
   }
 
-let queue_length t = Queue.length t.queue
-let executed t = t.executed
-let dropped t = t.dropped
-let expired t = t.expired
+let locked t f = Mutex.protect t.lock f
+
+let queue_length t = locked t (fun () -> Queue.length t.queue)
+let executed t = locked t (fun () -> t.executed)
+let dropped t = locked t (fun () -> t.dropped)
+let expired t = locked t (fun () -> t.expired)
+
+(* Queue the jobs, dropping each one that finds the queue full. *)
+let push t jobs =
+  locked t (fun () ->
+      List.iter
+        (fun job ->
+          if Queue.length t.queue >= t.max_queue then begin
+            t.dropped <- t.dropped + 1;
+            Metrics.incr dropped_counter
+          end
+          else begin
+            Queue.add job t.queue;
+            Metrics.add depth_gauge 1.
+          end)
+        jobs)
 
 (* How promising is a follow-up EXPAND of [node]'s component? The cost
    model's own signals: the component's selectivity mass (the unnormalized
@@ -109,35 +130,27 @@ let rank_snapshot ~model snap revealed =
          | c -> c)
        (List.map (fun v -> (v, snapshot_score ~model snap v)) candidates))
 
+let top t ranked = List.filteri (fun i _ -> i < t.top_m) ranked
+
+(* Jobs for the (root, members) candidates whose plans are not cached. *)
+let new_jobs t ~query ~nav ~k ~model candidates =
+  let fingerprint = model.Probability.fingerprint in
+  List.filter_map
+    (fun (root, members) ->
+      if Plan_cache.mem t.cache ~query ~fingerprint ~root ~members then None
+      else Some { query; root; members; nav; k; model; enqueued_at_ms = Clock.now_ms t.clock })
+    candidates
+
 let enqueue_ranked t ~query snap ~k ~model ranked =
-  let query = Nav_cache.normalize query in
-  let nav = Nav_snapshot.nav snap in
-  List.iteri
-    (fun i (v : Nav_snapshot.vnode) ->
-      if i < t.top_m then begin
-        (* The member set lives in the snapshot's frozen arena; its
-           content fingerprint matches the live component set, so cached
-           plans serve both paths. *)
-        let members = v.Nav_snapshot.member_set in
-        let root = v.Nav_snapshot.id in
-        let fingerprint = model.Probability.fingerprint in
-        if not (Plan_cache.mem t.cache ~query ~fingerprint ~root ~members) then
-          if Queue.length t.queue >= t.max_queue then begin
-            t.dropped <- t.dropped + 1;
-            Metrics.incr dropped_counter
-          end
-          else begin
-            Queue.add
-              { query; root; members; nav; k; model;
-                enqueued_at_ms = Clock.now_ms t.clock }
-              t.queue;
-            Metrics.add depth_gauge 1.
-          end
-      end)
-    ranked
+  (* The member sets live in the snapshot's frozen arena; their content
+     fingerprints match the live component sets, so cached plans serve
+     both paths. *)
+  push t
+    (new_jobs t ~query:(Nav_cache.normalize query) ~nav:(Nav_snapshot.nav snap) ~k ~model
+       (List.map (fun (v : Nav_snapshot.vnode) -> (v.Nav_snapshot.id, v.Nav_snapshot.member_set))
+          (top t ranked)))
 
 let observe t ~query ~active ~k ~model ~revealed =
-  let query = Nav_cache.normalize query in
   let candidates = List.filter (Active_tree.is_expandable active) revealed in
   let ranked =
     List.stable_sort
@@ -145,32 +158,15 @@ let observe t ~query ~active ~k ~model ~revealed =
         match Float.compare sb sa with 0 -> Int.compare a b | c -> c)
       (List.map (fun n -> (n, score ~model active n)) candidates)
   in
-  let nav = Active_tree.nav active in
-  let fingerprint = model.Probability.fingerprint in
-  List.iteri
-    (fun i (node, _score) ->
-      if i < t.top_m then begin
-        let members = Active_tree.component_set active node in
-        if not (Plan_cache.mem t.cache ~query ~fingerprint ~root:node ~members) then
-          if Queue.length t.queue >= t.max_queue then begin
-            t.dropped <- t.dropped + 1;
-            Metrics.incr dropped_counter
-          end
-          else begin
-            Queue.add
-              { query; root = node; members; nav; k; model;
-                enqueued_at_ms = Clock.now_ms t.clock }
-              t.queue;
-            Metrics.add depth_gauge 1.
-          end
-      end)
-    ranked
+  push t
+    (new_jobs t ~query:(Nav_cache.normalize query) ~nav:(Active_tree.nav active) ~k ~model
+       (List.map
+          (fun (node, _score) -> (node, Active_tree.component_set active node))
+          (top t ranked)))
 
+(* Runs with no lock held: the tree and its arena are domain-safe, and
+   the plan cache takes its own lock. *)
 let run_job t job =
-  (* Ticks may run on a background prefetch domain (under the engine's
-     shard lock): take ownership of the job tree's arena before the cut
-     computation mutates its memo tables. *)
-  Docset_arena.adopt (Nav_tree.arena job.nav);
   let fingerprint = job.model.Probability.fingerprint in
   if not (Plan_cache.mem t.cache ~query:job.query ~fingerprint ~root:job.root ~members:job.members)
   then begin
@@ -196,33 +192,38 @@ let stale t job =
   | None -> false
   | Some ttl -> Clock.now_ms t.clock -. job.enqueued_at_ms > ttl
 
-let tick t ~budget =
-  let rec go n =
-    if n >= budget || Queue.is_empty t.queue then n
-    else begin
-      let job = Queue.pop t.queue in
+(* The oldest job still within its TTL, discarding expired ones on the
+   way. Called under the lock. *)
+let rec next_job_locked t =
+  match Queue.take_opt t.queue with
+  | None -> None
+  | Some job ->
       Metrics.add depth_gauge (-1.);
       if stale t job then begin
         (* A speculation that sat past its TTL is guessing about a session
            state long gone; discarding it is free, so it costs no budget. *)
         t.expired <- t.expired + 1;
         Metrics.incr expired_counter;
-        Logs.debug (fun m ->
-            m "speculator: expired job for node %d of %S" job.root job.query);
-        go n
+        Logs.debug (fun m -> m "speculator: expired job for node %d of %S" job.root job.query);
+        next_job_locked t
       end
-      else begin
-        run_job t job;
-        t.executed <- t.executed + 1;
-        Metrics.incr speculations_counter;
-        go (n + 1)
-      end
-    end
+      else Some job
+
+let tick t ~budget =
+  let rec go n =
+    if n >= budget then n
+    else
+      match locked t (fun () -> next_job_locked t) with
+      | None -> n
+      | Some job ->
+          run_job t job;
+          locked t (fun () -> t.executed <- t.executed + 1);
+          Metrics.incr speculations_counter;
+          go (n + 1)
   in
   go 0
 
-let drop_query t query =
-  let query = Nav_cache.normalize query in
+let drop_locked t query =
   let keep = Queue.create () in
   let n_dropped = ref 0 in
   Queue.iter
@@ -236,3 +237,24 @@ let drop_query t query =
     Metrics.add depth_gauge (-.float_of_int !n_dropped)
   end;
   !n_dropped
+
+let drop_query t query =
+  let query = Nav_cache.normalize query in
+  locked t (fun () -> drop_locked t query)
+
+let hold t key =
+  let key = Nav_cache.normalize key in
+  locked t (fun () ->
+      Hashtbl.replace t.holders key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.holders key)))
+
+let release t key =
+  let key = Nav_cache.normalize key in
+  locked t (fun () ->
+      match Hashtbl.find_opt t.holders key with
+      | Some n when n > 1 ->
+          Hashtbl.replace t.holders key (n - 1);
+          0
+      | Some _ | None ->
+          Hashtbl.remove t.holders key;
+          drop_locked t key)

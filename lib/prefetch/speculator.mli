@@ -18,7 +18,11 @@
     model are never served to a refreshed session. Instrumented with
     [bionav_prefetch_queue_depth], [bionav_prefetch_speculations_total],
     [bionav_prefetch_dropped_total] and
-    [bionav_prefetch_precompute_latency_ms]. *)
+    [bionav_prefetch_precompute_latency_ms].
+
+    One speculator serves every domain of the engine. Its queue, holder
+    counts and counters sit behind an internal leaf lock; {!tick} runs each
+    job's cut computation outside it. *)
 
 type t
 
@@ -64,8 +68,7 @@ val rank_snapshot :
     order them by selectivity mass × EXPAND probability, all computed
     from the published snapshot (frozen arena + pure navigation-tree
     reads). Ties break by ascending node id. The expensive scoring runs
-    off the engine's shard lock; pass the result to {!enqueue_ranked}
-    under the lock. *)
+    off the engine's shard lock; pass the result to {!enqueue_ranked}. *)
 
 val enqueue_ranked :
   t ->
@@ -76,11 +79,9 @@ val enqueue_ranked :
   Bionav_search.Nav_snapshot.vnode list ->
   unit
 (** Enqueue the top-m of an already-ranked candidate list (from
-    {!rank_snapshot}) whose plans are not yet cached. This is the narrow
-    mutating half: call it under the lock that serializes this
-    speculator. Jobs capture the snapshot's frozen member sets, whose
-    content fingerprints match the live components, so cached plans
-    serve foreground expands too. *)
+    {!rank_snapshot}) whose plans are not yet cached. Jobs capture the
+    snapshot's frozen member sets, whose content fingerprints match the
+    live components, so cached plans serve foreground expands too. *)
 
 val tick : t -> budget:int -> int
 (** Run up to [budget] queued jobs now, oldest first; returns the number
@@ -95,6 +96,14 @@ val drop_query : t -> string -> int
     last session closes or expires so dead sessions leave no queued work
     behind; returns how many were dropped. Cached plans are {e not}
     touched: they are keyed by exact component and stay correct. *)
+
+val hold : t -> string -> unit
+(** Count one more live session holding the (normalized) key open. *)
+
+val release : t -> string -> int
+(** Count one holder of the key fewer. When the last holder leaves, drop
+    the key's queued jobs as {!drop_query} does and return how many were
+    dropped; otherwise return 0. *)
 
 val queue_length : t -> int
 val executed : t -> int

@@ -19,7 +19,26 @@ let root_cut_of ~k ~model nav =
   ignore (Navigation.expand session (Nav_tree.root nav) : int list);
   !captured
 
-let build ~db ~run ?(k = Heuristic.default_k) ?(model = Probability.default_model) queries =
+(* Put one query's tree into the tree cache and its root cut, keyed
+   exactly as a fresh session's first EXPAND asks for it, into the plan
+   cache. *)
+let seed ~trees ?plans ~model query nav root_cut =
+  Nav_cache.put trees query nav;
+  Metrics.incr warmed_counter;
+  match plans with
+  | Some plans when root_cut <> [] ->
+      (* The full-tree member set, interned in this tree's arena: the
+         content fingerprint matches what serving sessions key on. *)
+      let members =
+        Docset.of_sorted_array_unchecked_in (Nav_tree.arena nav)
+          (Array.init (Nav_tree.size nav) Fun.id)
+      in
+      Plan_cache.store plans ~query ~fingerprint:model.Probability.fingerprint
+        ~root:(Nav_tree.root nav) ~members ~cut:root_cut
+  | Some _ | None -> ()
+
+let build ~db ~run ?(k = Heuristic.default_k) ?(model = Probability.default_model) ~trees
+    ?plans queries =
   let seen = Hashtbl.create 16 in
   List.filter_map
     (fun query ->
@@ -33,6 +52,7 @@ let build ~db ~run ?(k = Heuristic.default_k) ?(model = Probability.default_mode
         Logs.info (fun m ->
             m "warmer: %S -> %d results, %d nodes, root cut of %d" query
               (Docset.cardinal results) (Nav_tree.size nav) (List.length root_cut));
+        seed ~trees ?plans ~model query nav root_cut;
         Some { Snapshot.query; results = Docset.to_intset results; root_cut }
       end)
     queries
@@ -41,18 +61,6 @@ let apply ~db ~trees ?plans ?(model = Probability.default_model) entries =
   List.iter
     (fun e ->
       let nav = Nav_tree.of_database db (Docset.of_intset e.Snapshot.results) in
-      Nav_cache.put trees e.query nav;
-      Metrics.incr warmed_counter;
-      match plans with
-      | Some plans when e.root_cut <> [] ->
-          (* The full-tree member set, interned in this tree's arena: the
-             content fingerprint matches what serving sessions key on. *)
-          let members =
-            Docset.of_sorted_array_unchecked_in (Nav_tree.arena nav)
-              (Array.init (Nav_tree.size nav) Fun.id)
-          in
-          Plan_cache.store plans ~query:e.query ~fingerprint:model.Probability.fingerprint
-            ~root:(Nav_tree.root nav) ~members ~cut:e.root_cut
-      | Some _ | None -> ())
+      seed ~trees ?plans ~model e.Snapshot.query nav e.Snapshot.root_cut)
     entries;
   List.length entries

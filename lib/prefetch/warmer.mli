@@ -17,6 +17,8 @@ val build :
   run:(string -> Bionav_util.Docset.t) ->
   ?k:int ->
   ?model:Bionav_core.Probability.model ->
+  trees:Bionav_core.Nav_cache.t ->
+  ?plans:Plan_cache.t ->
   string list ->
   Bionav_store.Snapshot.entry list
 (** [run] executes a query (e.g. an [Eutils.esearch] closure). Queries are
@@ -25,7 +27,9 @@ val build :
     serving engine will use, or warmed root cuts will never be asked for
     byte-identically. The root cut is computed by driving one EXPAND
     through {!Bionav_core.Navigation} itself, so it is identical to live
-    behaviour by construction (empty for single-node trees). *)
+    behaviour by construction (empty for single-node trees). Each tree it
+    built goes into [trees], and its root cut into [plans] when given, as
+    {!apply} would put them — so the tree is not built a second time. *)
 
 val apply :
   db:Bionav_store.Database.t ->

@@ -16,6 +16,7 @@ type t = {
   chaos : Chaos.t option;
   breaker : Breaker.t option;
   rng : Rng.t;  (* backoff jitter *)
+  lock : Mutex.t;  (* serializes calls: breaker, fault plan and rng are shared state *)
 }
 
 let create ?chaos ?(config = default_config) ?(seed = 0) ~clock () =
@@ -25,6 +26,7 @@ let create ?chaos ?(config = default_config) ?(seed = 0) ~clock () =
     chaos;
     breaker = Option.map (fun bc -> Breaker.create ~config:bc ~clock ()) config.breaker;
     rng = Rng.create seed;
+    lock = Mutex.create ();
   }
 
 let breaker t = t.breaker
@@ -45,6 +47,7 @@ let attempt t ~op f () =
       match f () with v -> Ok v | exception e -> Error e)
 
 let call t ~op f =
+  Mutex.protect t.lock @@ fun () ->
   match t.breaker with
   | Some b when not (Breaker.allow b) -> Error Circuit_open
   | _ -> (
@@ -66,6 +69,7 @@ let inject t ~op =
   match t.chaos with
   | None -> ()
   | Some plan -> (
+      Mutex.protect t.lock @@ fun () ->
       match Chaos.draw plan ~op with
       | Chaos.Delay ms -> Clock.sleep_ms t.clock ms
       | Chaos.Pass | Chaos.Fail -> ())

@@ -16,7 +16,11 @@
 
     {!inject} applies only the {e latency} half of the plan to
     non-backend ops (e.g. ["expand"]), where a failure makes no sense but
-    a spike should still eat into deadlines. *)
+    a spike should still eat into deadlines.
+
+    {!call} and {!inject} serialize on an internal lock (breaker, fault
+    plan and jitter rng are shared state), so one guard may serve any
+    domain. The lock is held while the thunk runs. *)
 
 type config = {
   retry : Retry.config;

@@ -14,20 +14,24 @@ type repr =
          [base] is a multiple of 32 and elements are non-negative *)
 
 (* Storage uses the OCaml 5 publication idiom so that pure reads need no
-   lock even while a (serialized) writer interns new sets: a writer that
-   needs room first publishes a grown copy of [reprs]/[fps] via
-   Atomic.set, then fills the new slot with plain stores, and only then
-   publishes the slot via [Atomic.set n]. A reader that loads [n] first
-   and the arrays second therefore always sees fully-initialized slots
-   for every id below the [n] it read. Ids at or above that [n] simply
-   don't exist yet from the reader's point of view.
+   lock even while a writer interns new sets: a writer that needs room
+   first publishes a grown copy of [reprs]/[fps] via Atomic.set, then
+   fills the new slot with plain stores, and only then publishes the slot
+   via [Atomic.set n]. A reader that loads [n] first and the arrays second
+   therefore always sees fully-initialized slots for every id below the
+   [n] it read. Ids at or above that [n] simply don't exist yet from the
+   reader's point of view.
 
-   The memo/intern hashtables are NOT covered by this protocol: they are
-   plain tables serialized by ownership while the arena is live, and
-   become safely readable by everyone once the arena is {!freeze}d
-   (frozen arenas never insert — see [inter_cardinal]). *)
+   Writers from any number of domains serialize on [lock], which guards
+   the slot publication, the intern/memo hashtables and the mutable stat
+   fields. Merges and counts run outside it: set algebra probes its memo
+   under the lock, computes without it, then interns the result (which
+   re-checks for an equal set) and memoizes it under the lock again. A
+   frozen arena never inserts, so its tables are read with no lock at all
+   (see [inter_cardinal]). *)
 type t = {
-  own : Ownership.t;
+  lock : bool Atomic.t;  (* spin lock; [true] while held *)
+  mutable frozen : bool;  (* set once, under [lock], before publication *)
   reprs : repr array Atomic.t;
   fps : int array Atomic.t;
   n : int Atomic.t;
@@ -68,7 +72,8 @@ let create () =
   fps.(0) <- fingerprint_of_array [||];
   let t =
     {
-      own = Ownership.create ~name:"Docset_arena" ();
+      lock = Atomic.make false;
+      frozen = false;
       reprs = Atomic.make reprs;
       fps = Atomic.make fps;
       n = Atomic.make 1;
@@ -87,6 +92,25 @@ let create () =
   Hashtbl.replace t.intern_tbl fps.(0) (ref [ 0 ]);
   t.sparse_count <- t.sparse_count + 1;
   t
+
+(* A test-and-test-and-set lock on one Atomic: an arena that never meets a
+   second domain (most of them: per-value sets, snapshot arenas) pays one
+   small allocation for it and no finaliser or syscall. Critical sections
+   are table probes and inserts, so a waiter spins; every 64th spin it
+   sleeps briefly instead, in case the holder's core was taken away. *)
+let lock t =
+  if not (Atomic.compare_and_set t.lock false true) then begin
+    let spins = ref 0 in
+    while Atomic.get t.lock || not (Atomic.compare_and_set t.lock false true) do
+      incr spins;
+      if !spins land 63 = 0 then Unix.sleepf 1e-5 else Domain.cpu_relax ()
+    done
+  end
+
+let unlock t = Atomic.set t.lock false
+
+let check_live t =
+  if t.frozen then invalid_arg "Docset_arena: mutation of a frozen arena"
 
 (* --- representation helpers ------------------------------------------- *)
 
@@ -207,57 +231,52 @@ let grow t n =
     Atomic.set t.fps fps
   end
 
-let adopt t = Ownership.adopt t.own
+let adopt (_ : t) = ()
 
-let owner_domain t = Ownership.owner t.own
+let freeze t =
+  lock t;
+  t.frozen <- true;
+  unlock t
 
-let freeze t = Ownership.freeze t.own
+let is_frozen t = t.frozen
 
-let is_frozen t = Ownership.is_frozen t.own
+(* The structurally equal interned set, if any. Called under the lock. *)
+let find_locked t fp a =
+  match Hashtbl.find_opt t.intern_tbl fp with
+  | None -> None
+  | Some bucket -> List.find_opt (fun id -> repr_equal_array (get_repr t id) a) !bucket
 
 let intern_unchecked t a =
-  Ownership.check t.own;
-  t.intern_requests <- t.intern_requests + 1;
+  check_live t;
   Metrics.incr interned_counter;
-  if Array.length a = 0 then begin
-    t.dedup_hits <- t.dedup_hits + 1;
-    Metrics.incr dedup_counter;
-    empty_id
-  end
-  else begin
-    let fp = fingerprint_of_array a in
-    let bucket =
-      match Hashtbl.find_opt t.intern_tbl fp with
-      | Some b -> b
-      | None ->
-          let b = ref [] in
-          Hashtbl.add t.intern_tbl fp b;
-          b
-    in
-    match List.find_opt (fun id -> repr_equal_array (get_repr t id) a) !bucket with
-    | Some id ->
-        t.dedup_hits <- t.dedup_hits + 1;
-        Metrics.incr dedup_counter;
-        id
-    | None ->
-        let id = Atomic.get t.n in
-        grow t id;
-        let r = pack a in
-        (* Fill the slot with plain stores, then publish it via [n]. *)
-        (Atomic.get t.reprs).(id) <- r;
-        (Atomic.get t.fps).(id) <- fp;
-        Atomic.set t.n (id + 1);
-        bucket := id :: !bucket;
-        t.bytes <- t.bytes + repr_bytes r;
-        (match r with
-        | Dense _ ->
-            t.dense_count <- t.dense_count + 1;
-            Metrics.incr dense_counter
-        | Sparse _ ->
-            t.sparse_count <- t.sparse_count + 1;
-            Metrics.incr sparse_counter);
-        id
-  end
+  let fp = fingerprint_of_array a in
+  lock t;
+  t.intern_requests <- t.intern_requests + 1;
+  (* The empty array finds the pre-interned empty set here. *)
+  match find_locked t fp a with
+  | Some id ->
+      t.dedup_hits <- t.dedup_hits + 1;
+      unlock t;
+      Metrics.incr dedup_counter;
+      id
+  | None ->
+      let r = pack a in
+      let id = Atomic.get t.n in
+      grow t id;
+      (* Fill the slot with plain stores, then publish it via [n]. *)
+      (Atomic.get t.reprs).(id) <- r;
+      (Atomic.get t.fps).(id) <- fp;
+      Atomic.set t.n (id + 1);
+      (match Hashtbl.find_opt t.intern_tbl fp with
+      | Some bucket -> bucket := id :: !bucket
+      | None -> Hashtbl.add t.intern_tbl fp (ref [ id ]));
+      t.bytes <- t.bytes + repr_bytes r;
+      (match r with
+      | Dense _ -> t.dense_count <- t.dense_count + 1
+      | Sparse _ -> t.sparse_count <- t.sparse_count + 1);
+      unlock t;
+      Metrics.incr (match r with Dense _ -> dense_counter | Sparse _ -> sparse_counter);
+      id
 
 let intern t a =
   for i = 1 to Array.length a - 1 do
@@ -355,17 +374,30 @@ let op_union = 0
 let op_inter = 1
 let op_diff = 2
 
+(* Probe a memo table under the lock, counting a hit. *)
+let memo_find t tbl key =
+  lock t;
+  let r = Hashtbl.find_opt tbl key in
+  if Option.is_some r then t.memo_hits <- t.memo_hits + 1;
+  unlock t;
+  if Option.is_some r then Metrics.incr memo_counter;
+  r
+
+(* Memoize a result computed outside the lock. Interning is canonical, so
+   a racing domain that computed the same entry stores the same value. *)
+let memo_add t tbl key v =
+  lock t;
+  Hashtbl.replace tbl key v;
+  unlock t
+
 let binop t op a b =
-  Ownership.check t.own;
+  check_live t;
   check_id t a;
   check_id t b;
   (* Union and intersection are commutative: normalize the key. *)
-  let ka, kb = if op <> op_diff && a > b then (b, a) else (a, b) in
-  match Hashtbl.find_opt t.op_memo (op, ka, kb) with
-  | Some r ->
-      t.memo_hits <- t.memo_hits + 1;
-      Metrics.incr memo_counter;
-      r
+  let key = if op <> op_diff && a > b then (op, b, a) else (op, a, b) in
+  match memo_find t t.op_memo key with
+  | Some r -> r
   | None ->
       let aa = repr_to_array (get_repr t a) and ba = repr_to_array (get_repr t b) in
       let out =
@@ -374,7 +406,7 @@ let binop t op a b =
         else merge ~left:true ~both:false ~right:false aa ba
       in
       let r = intern_unchecked t out in
-      Hashtbl.add t.op_memo (op, ka, kb) r;
+      memo_add t t.op_memo key r;
       r
 
 let union t a b =
@@ -440,28 +472,22 @@ let inter_cardinal t a b =
   check_id t b;
   if a = empty_id || b = empty_id then 0
   else if a = b then repr_cardinal (get_repr t a)
-  else if Ownership.is_frozen t.own then begin
-    (* Frozen arena: nobody inserts into [count_memo] anymore, so a
-       lookup is race-free from any domain. Misses recompute without
-       memoizing — correctness over a cold counter. *)
-    let ka, kb = if a > b then (b, a) else (a, b) in
-    match Hashtbl.find_opt t.count_memo (ka, kb) with
-    | Some c -> c
-    | None -> inter_cardinal_raw t a b
-  end
   else begin
-    (* Even the live "read" path mutates: memo insertion and hit stats. *)
-    Ownership.check t.own;
-    let ka, kb = if a > b then (b, a) else (a, b) in
-    match Hashtbl.find_opt t.count_memo (ka, kb) with
-    | Some c ->
-        t.memo_hits <- t.memo_hits + 1;
-        Metrics.incr memo_counter;
-        c
-    | None ->
-        let c = inter_cardinal_raw t a b in
-        Hashtbl.add t.count_memo (ka, kb) c;
-        c
+    let key = if a > b then (b, a) else (a, b) in
+    if t.frozen then
+      (* Frozen arena: nobody inserts into [count_memo] anymore, so a
+         lookup is race-free from any domain without the lock. Misses
+         recompute without memoizing. *)
+      match Hashtbl.find_opt t.count_memo key with
+      | Some c -> c
+      | None -> inter_cardinal_raw t a b
+    else
+      match memo_find t t.count_memo key with
+      | Some c -> c
+      | None ->
+          let c = inter_cardinal_raw t a b in
+          memo_add t t.count_memo key c;
+          c
   end
 
 let union_cardinal t a b = cardinal t a + cardinal t b - inter_cardinal t a b
@@ -481,16 +507,26 @@ type stats = {
 }
 
 let stats t =
-  {
-    sets = Atomic.get t.n;
-    bytes = t.bytes;
-    dense = t.dense_count;
-    sparse = t.sparse_count;
-    intern_requests = t.intern_requests;
-    dedup_hits = t.dedup_hits;
-    memo_hits = t.memo_hits;
-  }
+  let read () =
+    {
+      sets = Atomic.get t.n;
+      bytes = t.bytes;
+      dense = t.dense_count;
+      sparse = t.sparse_count;
+      intern_requests = t.intern_requests;
+      dedup_hits = t.dedup_hits;
+      memo_hits = t.memo_hits;
+    }
+  in
+  if t.frozen then read ()
+  else begin
+    lock t;
+    let st = read () in
+    unlock t;
+    st
+  end
 
-let dedup_hit_rate (t : t) =
-  if t.intern_requests = 0 then 0.
-  else float_of_int t.dedup_hits /. float_of_int t.intern_requests
+let dedup_hit_rate t =
+  let st = stats t in
+  if st.intern_requests = 0 then 0.
+  else float_of_int st.dedup_hits /. float_of_int st.intern_requests

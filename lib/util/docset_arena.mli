@@ -13,29 +13,24 @@
     Ids are only meaningful within their arena. {!Docset} wraps (arena, id)
     pairs into self-contained handles; this module is the storage layer.
 
-    {b Concurrency model.} Writers are confined to one domain at a
-    time: the arena carries an {!Ownership} stamp, mutating operations
-    (interning, set algebra, live memoizing "reads" like
-    {!inter_cardinal}) check it, and the engine {!adopt}s an arena
-    under the shard lock before touching it from a worker domain. With
-    [BIONAV_OWNERSHIP=1] a cross-domain mutation raises
-    {!Ownership.Violation} instead of corrupting the tables.
+    {b Concurrency model.} An arena is safe to share between domains.
+    Writers ({!intern}, set algebra, the memoizing {!inter_cardinal})
+    serialize on one internal lock that guards the intern table, the op
+    and count memos and the stat fields; merges, packing and counting run
+    outside it, and a writer re-checks the tables before it inserts, so
+    racing writers of the same set or operation converge on one id. The
+    lock is a single [Atomic], so an arena that never meets a second
+    domain pays no finaliser and no syscall for it.
 
     Pure reads ({!cardinal}, {!mem}, {!iter}, {!to_array},
-    {!fingerprint}, …) are safe from {e any} domain {e concurrently
-    with the single writer}: interned sets are immutable once published,
-    and the backing arrays are grown copy-then-publish through
-    [Atomic]s (slot stores happen before the set count is advanced, so
-    a reader never observes a half-initialized slot). Only the memo
-    tables remain writer-private — which is why {!inter_cardinal} is a
-    mutating call on a live arena.
+    {!fingerprint}, …) take no lock: interned sets are immutable once
+    published, and the backing arrays are grown copy-then-publish through
+    [Atomic]s (slot stores happen before the set count is advanced, so a
+    reader never observes a half-initialized slot).
 
-    A {!freeze}d arena rejects all further mutation (unconditionally,
-    not just under [BIONAV_OWNERSHIP]) and in exchange every operation
-    that doesn't intern — including {!inter_cardinal}, which switches
-    to lookup-only memo reads — becomes safe from any number of domains
-    with no lock. The engine freezes each published navigation
-    snapshot's arena (DESIGN.md §12). *)
+    A {!freeze}d arena rejects all further mutation and takes no lock at
+    all: {!inter_cardinal} switches to lookup-only memo reads. The engine
+    freezes each published navigation snapshot's arena (DESIGN.md §12). *)
 
 type t
 
@@ -44,22 +39,17 @@ type id = int
     (and therefore structurally equal) set. *)
 
 val create : unit -> t
-(** A fresh arena owned by the calling domain. *)
 
 val adopt : t -> unit
-(** Transfer ownership to the calling domain. Call only while holding
-    the lock that serializes access to this arena (see {!Ownership.adopt}). *)
-
-val owner_domain : t -> int
-(** Id of the domain currently owning this arena. *)
+(** Does nothing. Arenas are internally synchronized, so no domain needs
+    to take an arena over before writing to it; kept for source
+    compatibility with older callers. *)
 
 val freeze : t -> unit
 (** Irreversibly seal the arena: every mutating operation (interning,
-    set algebra, {!adopt}) raises {!Ownership.Violation} from then on,
-    and all remaining operations — including {!inter_cardinal} — become
-    safe to call from any domain without synchronization. Call while
-    still holding exclusive access; freezing is the arena's last
-    mutation. *)
+    set algebra) raises [Invalid_argument] from then on, and all
+    remaining operations, including {!inter_cardinal}, run without the
+    lock. Freeze before the arena is published to other domains. *)
 
 val is_frozen : t -> bool
 
@@ -67,14 +57,14 @@ val empty_id : id
 (** The empty set, pre-interned in every arena (id 0). *)
 
 val intern : t -> int array -> id
-(** Intern a {b sorted, strictly increasing} array (not adopted — the
-    arena copies or repacks). Returns the existing id when a structurally
+(** Intern a {b sorted, strictly increasing} array (the arena copies or
+    repacks it). Returns the existing id when a structurally
     equal set is already interned. @raise Invalid_argument if the array is
     not strictly increasing. *)
 
 val intern_unchecked : t -> int array -> id
 (** [intern] without the sortedness check; the caller must guarantee it.
-    The array must not be mutated afterwards (it may be adopted). *)
+    The array must not be mutated afterwards (the arena may keep it). *)
 
 val cardinal : t -> id -> int
 (** O(1). *)
@@ -113,8 +103,8 @@ val union_many : t -> id list -> id
 val inter_cardinal : t -> id -> id -> int
 (** [cardinal (inter a b)] without materializing the intersection:
     SWAR popcount over word pairs for bitset operands, merge-count for
-    sorted ones. Memoized on live arenas (a mutating call); on frozen
-    arenas the memo is consulted read-only and misses recompute. *)
+    sorted ones. Memoized on live arenas; on frozen arenas the memo is
+    consulted read-only and misses recompute. *)
 
 val union_cardinal : t -> id -> id -> int
 (** [cardinal a + cardinal b - inter_cardinal a b], allocation-free. *)

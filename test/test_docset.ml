@@ -177,6 +177,69 @@ let test_fingerprint_of_algebra () =
   let direct = Docset.of_list [ 1; 2; 3 ] in
   Alcotest.(check int) "fingerprints agree" (Docset.fingerprint direct) (Docset.fingerprint u)
 
+(* --- concurrency --------------------------------------------------------- *)
+
+(* k domains intern overlapping random sets into one shared arena (each in
+   its own order) and run the set algebra on every pair. Afterwards the
+   arena must look as if one domain had done it all: structurally equal
+   sets share one id, every result matches the Intset oracle, and the
+   arena holds exactly the distinct sets that were interned. *)
+let prop_shared_arena =
+  QCheck.Test.make ~name:"k domains share one arena" ~count:25
+    QCheck.(
+      pair (int_range 2 4)
+        (list_of_size Gen.(int_range 2 10) (list_of_size Gen.(int_range 0 40) (int_range 0 200))))
+    (fun (k, lists) ->
+      let arena = A.create () in
+      let inputs = Array.of_list (List.map (fun l -> Array.of_list (sorted l)) lists) in
+      let n = Array.length inputs in
+      let work d () =
+        let ids = Array.make n A.empty_id in
+        for j = 0 to n - 1 do
+          let i = (j + d) mod n in
+          ids.(i) <- A.intern arena inputs.(i)
+        done;
+        let ops = ref [] in
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            let a = ids.(i) and b = ids.(j) in
+            ops :=
+              ( (i, j),
+                [ A.union arena a b; A.inter arena a b; A.diff arena a b ],
+                A.inter_cardinal arena a b )
+              :: !ops
+          done
+        done;
+        (ids, List.rev !ops)
+      in
+      let outs = Array.map Domain.join (Array.init k (fun d -> Domain.spawn (work d))) in
+      let ids0, ops0 = outs.(0) in
+      let oracle = Array.map (fun a -> Intset.of_sorted_array_unchecked a) inputs in
+      let contents id = Array.to_list (A.to_array arena id) in
+      let distinct = Hashtbl.create 64 in
+      Hashtbl.replace distinct [] ();
+      Array.iter (fun id -> Hashtbl.replace distinct (contents id) ()) ids0;
+      let same_everywhere = Array.for_all (fun out -> out = outs.(0)) outs in
+      let ids_canonical =
+        Array.for_all
+          (fun i -> Array.for_all (fun j -> (inputs.(i) = inputs.(j)) = (ids0.(i) = ids0.(j)))
+              (Array.init n Fun.id))
+          (Array.init n Fun.id)
+        && Array.for_all2 (fun id input -> contents id = Array.to_list input) ids0 inputs
+      in
+      let results_match =
+        List.for_all
+          (fun ((i, j), results, count) ->
+            let a = oracle.(i) and b = oracle.(j) in
+            List.iter (fun id -> Hashtbl.replace distinct (contents id) ()) results;
+            List.map contents results
+            = List.map Intset.elements [ Intset.union a b; Intset.inter a b; Intset.diff a b ]
+            && count = Intset.inter_cardinal a b)
+          ops0
+      in
+      same_everywhere && ids_canonical && results_match
+      && (A.stats arena).A.sets = Hashtbl.length distinct)
+
 let () =
   Alcotest.run "docset"
     [
@@ -191,6 +254,7 @@ let () =
           Alcotest.test_case "cardinal family" `Quick test_cardinal_family;
           Alcotest.test_case "union_many" `Quick test_union_many_arena;
         ] );
+      ("concurrency", [ QCheck_alcotest.to_alcotest prop_shared_arena ]);
       ( "handle",
         [
           Alcotest.test_case "basics" `Quick test_handle_basics;

@@ -234,6 +234,70 @@ let test_show_results_returns_citations () =
   let citations = Engine.show_results s (Nav_tree.root nav) in
   Alcotest.(check bool) "nonempty" true (not (Docset.is_empty citations))
 
+(* --- engine-wide sharing -------------------------------------------------- *)
+
+let build_count () = Metrics.count (Metrics.histogram "bionav_nav_tree_build_ms")
+
+(* Run [f d] on [n] domains released together, so that their calls
+   overlap. *)
+let on_domains n f =
+  let ready = Atomic.make 0 in
+  Array.map Domain.join
+    (Array.init n (fun d ->
+         Domain.spawn (fun () ->
+             Atomic.incr ready;
+             while Atomic.get ready < n do
+               Domain.cpu_relax ()
+             done;
+             f d)))
+
+(* Four domains search one uncached query on a four-shard engine: one
+   build serves them all, the waiters count as hits, and every session
+   navigates the same physical tree. Then each session refines the same
+   node from its own domain: one derivation, one shared refined tree. *)
+let test_single_flight_across_shards () =
+  let t = engine ~config:{ Engine.default_config with Engine.shards = 4 } () in
+  let before = build_count () in
+  let sessions = on_domains 4 (fun _ -> must_session (Engine.search t "cancer")) in
+  Alcotest.(check int) "one build for four concurrent searches" (before + 1) (build_count ());
+  Alcotest.(check (float 1e-9)) "one miss, three hits" 0.75 (Engine.cache_hit_rate t);
+  let nav = Engine.session_nav sessions.(0) in
+  Array.iter
+    (fun s -> Alcotest.(check bool) "sessions share the tree" true (Engine.session_nav s == nav))
+    sessions;
+  (* The engine routes a session to shard [hash sid mod shards]: the four
+     sessions must not all sit on one shard for the refine check to mean
+     anything. *)
+  let shards =
+    List.sort_uniq Int.compare
+      (Array.to_list (Array.map (fun s -> Hashtbl.hash (Engine.session_id s) mod 4) sessions))
+  in
+  Alcotest.(check bool) "sessions span shards" true (List.length shards > 1);
+  let node =
+    Array.fold_left
+      (fun _ s -> List.hd (List.sort Int.compare (Engine.expand s (Nav_tree.root nav))))
+      0 sessions
+  in
+  let before = build_count () in
+  let counts = on_domains 4 (fun d -> Engine.refine sessions.(d) node) in
+  Alcotest.(check int) "one derivation for four concurrent refines" (before + 1) (build_count ());
+  Array.iter (fun c -> Alcotest.(check int) "same refined count" counts.(0) c) counts;
+  let refined = Engine.session_nav sessions.(0) in
+  Alcotest.(check bool) "refined space is a new tree" true (refined != nav);
+  Array.iter
+    (fun s ->
+      Alcotest.(check bool) "sessions share the refined tree" true (Engine.session_nav s == refined))
+    sessions;
+  (* Eight frames on four shards reach two tree arenas: each is counted
+     once. *)
+  let _, eutils = Lazy.force world in
+  let sets a = (Docset_arena.stats a).Docset_arena.sets in
+  Alcotest.(check int) "shared arenas counted once"
+    (sets (Bionav_search.Inverted_index.arena (Eu.index eutils))
+    + sets (Nav_tree.arena nav)
+    + sets (Nav_tree.arena refined))
+    (Engine.docset_stats t).Docset_arena.sets
+
 let () =
   Alcotest.run "engine"
     [
@@ -259,7 +323,11 @@ let () =
           Alcotest.test_case "sweep without ttl" `Quick test_sweep_without_ttl;
         ] );
       ( "cache",
-        [ Alcotest.test_case "normalization shares" `Quick test_query_normalization_shares_cache ] );
+        [
+          Alcotest.test_case "normalization shares" `Quick test_query_normalization_shares_cache;
+          Alcotest.test_case "single flight across shards" `Quick
+            test_single_flight_across_shards;
+        ] );
       ( "observability",
         [
           Alcotest.test_case "metrics populated" `Quick test_navigation_populates_metrics;

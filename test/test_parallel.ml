@@ -1,9 +1,9 @@
 (* Multi-domain stress for the sharded engine and its supporting
    concurrency primitives (DESIGN.md §11): parallel replay must agree
    with a serial replay expand-for-expand, the domain-safe metrics must
-   account for every record exactly, ownership violations must be
-   caught when enforcement is on, and the listener/worker queue must
-   deliver every accepted item across domains. *)
+   account for every record exactly, frozen arenas must reject every
+   write, and the listener/worker queue must deliver every accepted item
+   across domains. *)
 
 open Bionav_util
 open Bionav_core
@@ -217,36 +217,171 @@ let test_snapshot_isolation_stress () =
      and one more consistency pass over the final snapshots holds. *)
   Array.iter (fun s -> assert_consistent (Engine.snapshot s)) sessions
 
-(* --- ownership --------------------------------------------------------- *)
+(* --- engine-wide trees and plans ----------------------------------------- *)
 
-let test_ownership_violation () =
-  let was = Ownership.enforced () in
-  Ownership.set_enforced true;
-  Fun.protect
-    ~finally:(fun () -> Ownership.set_enforced was)
-    (fun () ->
-      let arena = Docset_arena.create () in
-      (* The creating domain owns the arena: mutation is fine here... *)
-      ignore (Docset.of_list_in arena [ 1; 2; 3 ] : Docset.t);
-      (* ...and a violation from a foreign domain that never adopted. *)
-      let raised =
-        Domain.join
-          (Domain.spawn (fun () ->
-               match Docset.of_list_in arena [ 4; 5 ] with
-               | (_ : Docset.t) -> false
-               | exception Ownership.Violation _ -> true))
+let prefetch_engine shards =
+  let w = Lazy.force workload in
+  Engine.create
+    ~config:
+      { Engine.default_config with
+        Engine.shards;
+        prefetch = Some Bionav_prefetch.Prefetch.default_config }
+    ~database:w.Q.database ~eutils:w.Q.eutils ()
+
+let must_session = function
+  | Ok (Engine.Session s) -> s
+  | Ok Engine.No_results -> Alcotest.fail "query unexpectedly empty"
+  | Error e -> Alcotest.fail ("search failed: " ^ e)
+
+(* Engine.warm on four shards puts each distinct query's tree into the
+   cache once, and sessions on every shard then find it there. *)
+let test_warm_builds_each_tree_once () =
+  let w = Lazy.force workload in
+  let eng = prefetch_engine 4 in
+  let queries = List.map (fun q -> q.Q.keyword) w.Q.queries in
+  let distinct = List.length (List.sort_uniq String.compare (List.map Nav_cache.normalize queries)) in
+  let warmed = Metrics.counter "bionav_prefetch_warmed_queries_total" in
+  let builds = Metrics.histogram "bionav_nav_tree_build_ms" in
+  let warmed0 = Metrics.value warmed and builds0 = Metrics.count builds in
+  let entries = Engine.warm eng (queries @ List.rev queries) in
+  Alcotest.(check int) "one entry per distinct query" distinct (List.length entries);
+  Alcotest.(check int) "each tree cached once" (warmed0 + distinct) (Metrics.value warmed);
+  List.iter
+    (fun q ->
+      let navs =
+        List.init 8 (fun _ ->
+            let s = must_session (Engine.search eng q) in
+            ignore (Engine.close eng (Engine.session_id s) : bool);
+            Engine.session_nav s)
       in
-      Alcotest.(check bool) "cross-domain mutation raises Violation" true raised;
-      (* An adopting domain (as under the shard lock) may mutate. *)
-      let ok =
-        Domain.join
-          (Domain.spawn (fun () ->
-               Docset_arena.adopt arena;
-               match Docset.of_list_in arena [ 6 ] with
-               | (_ : Docset.t) -> true
-               | exception Ownership.Violation _ -> false))
-      in
-      Alcotest.(check bool) "adoption transfers mutation rights" true ok)
+      List.iter
+        (fun nav -> Alcotest.(check bool) "every shard serves the warmed tree" true (nav == List.hd navs))
+        navs)
+    queries;
+  Alcotest.(check int) "no tree built after warm" builds0 (Metrics.count builds)
+
+(* One scripted session: search, EXPAND the target's visible ancestor
+   until the target shows, refine on it, open its facets, unrefine. Each
+   step logs what it returned and the published snapshot (space, visible
+   nodes with their counts, distinct results). *)
+let script eng (q : Q.query) =
+  let module Snap = Bionav_search.Nav_snapshot in
+  let trace = ref [] in
+  let note fmt = Printf.ksprintf (fun x -> trace := x :: !trace) fmt in
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let s = must_session (Engine.search eng q.Q.keyword) in
+  let view () =
+    let snap = Engine.snapshot s in
+    let visible = List.sort Int.compare (Snap.visible snap) in
+    note "%s [%s] %d" (Snap.space snap)
+      (String.concat ";"
+         (List.map (fun n -> Printf.sprintf "%d:%d" n (Snap.get snap n).Snap.distinct) visible))
+      (Snap.distinct_results snap)
+  in
+  view ();
+  let nav = Engine.session_nav s and target = q.Q.target_node in
+  let steps = ref 0 in
+  while !steps < 50 && not (Snap.mem (Engine.snapshot s) target) do
+    let snap = Engine.snapshot s in
+    let rec up n = if Snap.mem snap n then n else up (Nav_tree.parent nav n) in
+    let n = up target in
+    note "expand %d -> [%s]" n (ints (List.sort Int.compare (Engine.expand s n)));
+    view ();
+    incr steps
+  done;
+  if target <> Nav_tree.root nav then begin
+    note "refine %d -> %d" target (Engine.refine s target);
+    view ();
+    note "facet -> %d" (Engine.facet s);
+    view ();
+    note "unrefine -> %b" (Engine.unrefine s);
+    view ()
+  end;
+  ignore (Engine.close eng (Engine.session_id s) : bool);
+  List.rev !trace
+
+(* The scripted sessions of every Table I query, driven from two domains
+   (each over all queries, in opposite orders) against a one-shard and a
+   four-shard engine, must all produce the same trace step for step:
+   sharing trees and plans across shards changes no result. *)
+let test_shared_caches_differential () =
+  let w = Lazy.force workload in
+  let queries = Array.of_list w.Q.queries in
+  let n = Array.length queries in
+  let run shards =
+    let eng = prefetch_engine shards in
+    let traces =
+      Array.map Domain.join
+        (Array.init 2 (fun d ->
+             Domain.spawn (fun () ->
+                 let order = List.init n (fun i -> if d = 0 then i else n - 1 - i) in
+                 let out = Array.make n [] in
+                 List.iter (fun i -> out.(i) <- script eng queries.(i)) order;
+                 out)))
+    in
+    Alcotest.(check int) "all sessions closed" 0 (Engine.session_count eng);
+    traces
+  in
+  let one = run 1 and four = run 4 in
+  let steps prefix =
+    Array.fold_left
+      (fun acc trace ->
+        acc + List.length (List.filter (String.starts_with ~prefix) trace))
+      0 one.(0)
+  in
+  Alcotest.(check bool) "scripts expand, refine and facet" true
+    (steps "expand" > n && steps "refine" > 0 && steps "facet" > 0);
+  Array.iteri
+    (fun i reference ->
+      List.iter
+        (fun (name, traces) ->
+          Array.iter
+            (fun (t : string list array) ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s, query %d" name i)
+                reference t.(i))
+            traces)
+        [ ("one shard", one); ("four shards", four) ])
+    one.(0)
+
+(* --- frozen arenas ------------------------------------------------------ *)
+
+(* A frozen arena (the snapshot read path) rejects every mutation, while
+   reads, including the lock-free [inter_cardinal], work from any domain
+   and agree with the values computed before freezing. *)
+let test_frozen_arena_is_read_only () =
+  let arena = Docset_arena.create () in
+  let a = Docset.of_list_in arena [ 1; 2; 3; 5; 8; 13 ]
+  and b = Docset.of_list_in arena [ 2; 3; 4; 5 ]
+  and c = Docset.of_list_in arena (List.init 100 (fun i -> 2 * i)) in
+  let ida = Docset.id a and idb = Docset.id b and idc = Docset.id c in
+  let memoized = Docset_arena.inter_cardinal arena ida idb in
+  Docset_arena.freeze arena;
+  Alcotest.(check bool) "frozen" true (Docset_arena.is_frozen arena);
+  let rejects name f =
+    Alcotest.(check bool) (name ^ " rejected") true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "intern" (fun () -> Docset_arena.intern arena [| 7 |]);
+  rejects "intern_unchecked" (fun () -> Docset_arena.intern_unchecked arena [| 1; 2 |]);
+  rejects "union" (fun () -> Docset_arena.union arena ida idb);
+  rejects "inter" (fun () -> Docset_arena.inter arena ida idc);
+  rejects "diff" (fun () -> Docset_arena.diff arena idc ida);
+  rejects "union_many" (fun () -> Docset_arena.union_many arena [ ida; idb; idc ]);
+  let reads () =
+    ( Docset.elements a,
+      Docset.cardinal c,
+      Docset.mem 4 b,
+      Docset_arena.inter_cardinal arena ida idb,
+      Docset_arena.inter_cardinal arena ida idc,
+      Docset_arena.subset arena idb idc )
+  in
+  let expected = ([ 1; 2; 3; 5; 8; 13 ], 100, true, 3, 2, false) in
+  Alcotest.(check int) "memoized before freezing" 3 memoized;
+  Alcotest.(check bool) "reads on the freezing domain" true (reads () = expected);
+  Array.iter
+    (fun r -> Alcotest.(check bool) "reads from another domain" true (r = expected))
+    (Array.map Domain.join (Array.init 3 (fun _ -> Domain.spawn reads)))
 
 (* --- bounded queue ----------------------------------------------------- *)
 
@@ -306,10 +441,16 @@ let () =
           Alcotest.test_case "reentrant run_locked raises" `Quick test_reentrant_run_locked;
           Alcotest.test_case "chaos requires single shard" `Quick test_chaos_requires_single_shard;
         ] );
+      ( "sharing",
+        [
+          Alcotest.test_case "warm builds each tree once" `Quick test_warm_builds_each_tree_once;
+          Alcotest.test_case "one vs four shards, two domains" `Quick
+            test_shared_caches_differential;
+        ] );
       ( "snapshots",
         [ Alcotest.test_case "isolation under 4 domains" `Quick test_snapshot_isolation_stress ] );
-      ( "ownership",
-        [ Alcotest.test_case "violation + adoption" `Quick test_ownership_violation ] );
+      ( "arena",
+        [ Alcotest.test_case "frozen rejects writes" `Quick test_frozen_arena_is_read_only ] );
       ( "bounded_queue",
         [
           Alcotest.test_case "capacity and close" `Quick test_queue_capacity_and_close;

@@ -458,6 +458,73 @@ let test_multi_domain_serve () =
   Domain.join server;
   Alcotest.(check int) "every request reached the handler" n (Atomic.get hits)
 
+(* --- /prefetch on a sharded engine --- *)
+
+(* The value of a "key: value" line of a status page. *)
+let status_field body key =
+  let prefix = key ^ ": " in
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' body)
+  with
+  | Some line ->
+      String.sub line (String.length prefix) (String.length line - String.length prefix)
+  | None -> Alcotest.failf "/prefetch has no %s line" key
+
+(* With two shards, /prefetch reports the one engine-wide plan cache: the
+   three warmed root cuts right after Engine.warm, and after traffic on
+   sessions of both shards a hit rate that agrees with the hits and
+   misses printed beside it. *)
+let test_prefetch_page_two_shards () =
+  let module Engine = Bionav_engine.Engine in
+  let module Q = Bionav_workload.Queries in
+  let w = Q.build ~config:Q.small_config ~seed:5 () in
+  let config =
+    { Engine.default_config with
+      Engine.shards = 2;
+      prefetch =
+        Some { Bionav_prefetch.Prefetch.default_config with budget_per_action = 0 } }
+  in
+  let app = App.create ~config ~database:w.Q.database ~eutils:w.Q.eutils () in
+  let engine = App.engine app in
+  let queries = List.filteri (fun i _ -> i < 3) (List.map (fun q -> q.Q.keyword) w.Q.queries) in
+  ignore (Engine.warm engine queries : _ list);
+  let page () = (get app "/prefetch" []).Http.body in
+  Alcotest.(check string) "three warmed plans" "3" (status_field (page ()) "plans_cached");
+  (* Four sessions per query, spread over both shards: each EXPANDs the
+     root (a warmed plan) and then the first expandable node it reveals
+     (computed once, then shared). Every EXPAND looks its plan up once. *)
+  let expands = ref 0 in
+  List.iter
+    (fun q ->
+      for _ = 1 to 4 do
+        match Engine.search engine q with
+        | Ok (Engine.Session s) ->
+            let root = Bionav_core.Nav_tree.root (Engine.session_nav s) in
+            let revealed = Engine.expand s root in
+            incr expands;
+            let snap = Engine.snapshot s in
+            (match
+               List.find_opt
+                 (fun n -> (Bionav_search.Nav_snapshot.get snap n).expandable)
+                 (List.sort Int.compare revealed)
+             with
+            | Some n ->
+                ignore (Engine.expand s n : int list);
+                incr expands
+            | None -> ());
+            ignore (Engine.close engine (Engine.session_id s) : bool)
+        | Ok Engine.No_results | Error _ -> Alcotest.fail ("search failed: " ^ q)
+      done)
+    queries;
+  let body = page () in
+  let hits = int_of_string (status_field body "plan_hits")
+  and misses = int_of_string (status_field body "plan_misses") in
+  Alcotest.(check bool) "both hits and misses" true (hits > 0 && misses > 0);
+  Alcotest.(check int) "every shard's lookups counted" !expands (hits + misses);
+  Alcotest.(check string) "hit rate agrees with the page's counts"
+    (Printf.sprintf "%.3f" (float_of_int hits /. float_of_int (hits + misses)))
+    (status_field body "plan_hit_rate")
+
 let () =
   Alcotest.run "web"
     [
@@ -505,4 +572,6 @@ let () =
         ] );
       ( "pool",
         [ Alcotest.test_case "multi-domain serve end-to-end" `Quick test_multi_domain_serve ] );
+      ( "prefetch",
+        [ Alcotest.test_case "status page, two shards" `Quick test_prefetch_page_two_shards ] );
     ]
