@@ -76,28 +76,16 @@ let facet_hierarchy t = (facet_of t).fh
 
 let derive_facet t result =
   let f = facet_of t in
-  (* Bucket the result citations by primary-qualifier page. Each citation
-     lands in exactly one bucket, so the attachments partition [result]. *)
-  let pages = Array.make (Qualifiers.count + 2) [] in
-  Docset.fold
-    (fun cit () ->
-      let page = f.page_of_citation.(cit) in
-      pages.(page) <- cit :: pages.(page))
-    result ();
-  let attachments = ref [] in
-  Array.iteri
-    (fun page cits ->
-      if cits <> [] then
-        (* Reversed accumulation of an increasing fold = decreasing; build
-           the sorted array directly instead of re-sorting. *)
-        let arr = Array.of_list cits in
-        let n = Array.length arr in
-        let sorted = Array.init n (fun i -> arr.(n - 1 - i)) in
-        attachments :=
-          (page, Docset.of_sorted_array_unchecked sorted) :: !attachments)
-    pages;
-  Nav_tree.build ~hierarchy:f.fh ~attachments:!attachments
-    ~total_count:(fun c -> f.totals.(c))
+  (* Group the result citations by primary-qualifier page. Each citation
+     lands in exactly one page, so the attachments partition [result].
+     Pages are interned last to first: a tree's intern order fixes its set
+     ids, hence its union fold order and arena stats. *)
+  let arena = Docset_arena.create () in
+  let attachments =
+    Docset.group_in arena ~n_keys:(Qualifiers.count + 2) ~descending:true (fun emit ->
+        Docset.iter (fun cit -> emit f.page_of_citation.(cit) cit) result)
+  in
+  Nav_tree.build_in arena ~hierarchy:f.fh ~attachments ~total_count:(fun c -> f.totals.(c))
 
 let derivation_hist dim = Metrics.histogram ("bionav_space_derivation_ms_" ^ dimension_name dim)
 

@@ -21,30 +21,44 @@ type t = {
 (* Intermediate rose tree used while computing the maximum embedding. *)
 type rose = Rose of int * rose list
 
-let build ~hierarchy ~attachments ~total_count =
+let build_in arena ~hierarchy ~attachments ~total_count =
   let n_concepts = Hierarchy.size hierarchy in
-  (* Every set the tree retains is interned into one fresh arena: nodes
-     sharing a citation list share one physical copy, and the bottom-up
-     subtree unions below seed the arena's op memo for the cost model. *)
-  let arena = Docset_arena.create () in
+  (* Every set the tree retains is interned into one arena: nodes sharing
+     a citation list share one physical copy, and the bottom-up subtree
+     unions below seed the arena's op memo for the cost model. *)
   let attached = Array.make n_concepts (Docset.in_arena arena Docset.empty) in
+  (* Attached concepts and their ancestors: the only hierarchy nodes the
+     embedding below visits. *)
+  let marked = Bytes.make n_concepts '\000' in
+  let rec mark c =
+    if c >= 0 && Bytes.get marked c = '\000' then begin
+      Bytes.set marked c '\001';
+      mark (Hierarchy.parent hierarchy c)
+    end
+  in
   List.iter
     (fun (c, set) ->
       if c < 0 || c >= n_concepts then
         invalid_arg (Printf.sprintf "Nav_tree.build: unknown concept %d" c);
       if not (Docset.is_empty attached.(c)) then
         invalid_arg (Printf.sprintf "Nav_tree.build: duplicate attachment for concept %d" c);
-      attached.(c) <- Docset.in_arena arena set)
+      attached.(c) <- Docset.in_arena arena set;
+      if not (Docset.is_empty set) then mark c)
     attachments;
-  (* Maximum embedding (Definition 2), one depth-first pass: an empty
-     internal node is replaced by its kept children, an empty leaf vanishes,
-     the root survives unconditionally. *)
-  let rec embed c =
-    let kept = List.concat_map embed (Hierarchy.children hierarchy c) in
+  (* Maximum embedding (Definition 2), one depth-first pass over the
+     marked nodes: an empty internal node is replaced by its kept
+     children, an unmarked subtree holds no attachment and vanishes, the
+     root survives unconditionally. *)
+  let rec embed_children c =
+    List.concat_map
+      (fun k -> if Bytes.get marked k = '\000' then [] else embed k)
+      (Hierarchy.children hierarchy c)
+  and embed c =
+    let kept = embed_children c in
     if Docset.is_empty attached.(c) then kept else [ Rose (c, kept) ]
   in
   let hroot = Hierarchy.root hierarchy in
-  let top = Rose (hroot, List.concat_map embed (Hierarchy.children hierarchy hroot)) in
+  let top = Rose (hroot, embed_children hroot) in
   (* Flatten in preorder: ids are assigned parents-first. *)
   let count =
     let rec sz (Rose (_, kids)) = 1 + List.fold_left (fun a k -> a + sz k) 0 kids in
@@ -116,9 +130,14 @@ let build ~hierarchy ~attachments ~total_count =
     node_of_concept;
   }
 
+let build ~hierarchy ~attachments ~total_count =
+  build_in (Docset_arena.create ()) ~hierarchy ~attachments ~total_count
+
 let of_database db result =
-  let attachments = Database.concepts_of_result_ds db result in
-  build ~hierarchy:(Database.hierarchy db) ~attachments ~total_count:(Database.total_count db)
+  let arena = Docset_arena.create () in
+  let attachments = Database.concepts_of_result db arena result in
+  build_in arena ~hierarchy:(Database.hierarchy db) ~attachments
+    ~total_count:(Database.total_count db)
 
 let arena t = t.arena
 let size t = Array.length t.parent

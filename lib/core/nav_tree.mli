@@ -19,6 +19,15 @@ val build :
     supplies corpus-wide counts [LT]. @raise Invalid_argument on an unknown
     concept id, a duplicate, or [total_count c < |L(c)|]. *)
 
+val build_in :
+  Bionav_util.Docset_arena.t ->
+  hierarchy:Bionav_mesh.Hierarchy.t ->
+  attachments:(int * Bionav_util.Docset.t) list ->
+  total_count:(int -> int) ->
+  t
+(** {!build} into a given fresh arena, which the tree then owns.
+    Attachments already interned there are taken as they are. *)
+
 val of_database : Bionav_store.Database.t -> Bionav_util.Docset.t -> t
 (** The on-line construction path: look up the concepts of every result
     citation in the BioNav database and embed. *)

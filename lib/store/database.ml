@@ -87,29 +87,12 @@ let citations_of_concept t concept =
       b.x_iter_citations_of_concept concept (fun cit -> acc := cit :: !acc);
       Intset.of_sorted_array_unchecked (Array.of_list (List.rev !acc))
 
-(* The shared core of the on-line tree input: bucket the result's
-   citations under each concept that annotates them, through whichever
-   backend orientation is live. [iter] must visit citations in
-   increasing id order so each bucket comes out sorted (descending,
-   reversed once at the end). *)
-let bucket_result t iter =
-  let buckets = Hashtbl.create 256 in
-  iter (fun cit ->
-      iter_concepts_of_citation t cit (fun concept ->
-          let prev = match Hashtbl.find_opt buckets concept with Some l -> l | None -> [] in
-          Hashtbl.replace buckets concept (cit :: prev)));
-  Hashtbl.fold
-    (fun concept cits acc ->
-      (concept, Array.of_list (List.rev cits)) :: acc)
-    buckets []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let concepts_of_result t result =
-  List.map
-    (fun (c, arr) -> (c, Intset.of_sorted_array_unchecked arr))
-    (bucket_result t (fun f -> Intset.iter f result))
-
-let concepts_of_result_ds t result =
-  List.map
-    (fun (c, arr) -> (c, Docset.of_sorted_array_unchecked arr))
-    (bucket_result t (fun f -> Docset.iter f result))
+(* The on-line tree input: one pass over the result's citations through
+   the citation -> concepts orientation of whichever backend is live,
+   grouped by concept with a counting sort. The result is visited in
+   increasing id order, so each concept's citations arrive sorted. *)
+let concepts_of_result t arena result =
+  Docset.group_in arena ~n_keys:(Hierarchy.size t.hierarchy) (fun emit ->
+      Docset.iter
+        (fun cit -> iter_concepts_of_citation t cit (fun concept -> emit concept cit))
+        result)

@@ -79,13 +79,10 @@ val iter_concepts_of_citation : t -> int -> (int -> unit) -> unit
 (** Streaming accessors (increasing id order) — no intermediate set is
     materialized on an external backend. *)
 
-val concepts_of_result : t -> Bionav_util.Intset.t -> (int * Bionav_util.Intset.t) list
-(** [concepts_of_result t result] is the on-line navigation-tree input: for
-    each concept associated with at least one citation of [result], the
-    subset of [result] attached to it. Implemented through the denormalized
+val concepts_of_result :
+  t -> Bionav_util.Docset_arena.t -> Bionav_util.Docset.t -> (int * Bionav_util.Docset.t) list
+(** [concepts_of_result t arena result] is the on-line navigation-tree
+    input: for each concept associated with at least one citation of
+    [result], ascending, the subset of [result] attached to it, interned
+    into [arena] in that order. Implemented through the denormalized
     orientation, one lookup per result citation, as in the paper. *)
-
-val concepts_of_result_ds : t -> Bionav_util.Docset.t -> (int * Bionav_util.Docset.t) list
-(** {!concepts_of_result} without the [Intset] round-trip: the result
-    arrives and the attachments leave as {!Bionav_util.Docset} handles,
-    which is what {!Bionav_core.Nav_tree} actually consumes. *)

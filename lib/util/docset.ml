@@ -29,8 +29,101 @@ let singleton x = singleton_in (A.create ()) x
 let of_intset s = of_intset_in (A.create ()) s
 
 let in_arena arena s =
-  if s.arena == arena then s
-  else { arena; id = A.intern_unchecked arena (A.to_array s.arena s.id) }
+  if s.arena == arena then s else { arena; id = A.import arena ~src:s.arena s.id }
+
+(* Per-domain buffers for [group_in]; they only grow. A systhread that
+   finds its domain's buffers taken works in fresh ones. *)
+type group_scratch = {
+  mutable busy : bool;
+  mutable keys : int array;
+  mutable vals : int array;
+  mutable ends : int array;
+  mutable sorted : int array;
+}
+
+let fresh_group_scratch () = { busy = false; keys = [||]; vals = [||]; ends = [||]; sorted = [||] }
+let group_scratch = Domain.DLS.new_key fresh_group_scratch
+
+(* Collect the emitted pairs, then sort them stably by key: count, turn
+   counts into start offsets, scatter. Afterwards [s.ends.(k)] is the end
+   of key [k]'s run in [s.sorted], which is where key [k + 1]'s run
+   starts. *)
+let group_sort s ~n_keys feed =
+  let n = ref 0 in
+  feed (fun key x ->
+      if key < 0 || key >= n_keys then
+        invalid_arg (Printf.sprintf "Docset.group_in: key %d outside [0, %d)" key n_keys);
+      if !n = Array.length s.keys then begin
+        let cap = max 1024 (2 * !n) in
+        let keys = Array.make cap 0 and vals = Array.make cap 0 in
+        Array.blit s.keys 0 keys 0 !n;
+        Array.blit s.vals 0 vals 0 !n;
+        s.keys <- keys;
+        s.vals <- vals
+      end;
+      s.keys.(!n) <- key;
+      s.vals.(!n) <- x;
+      incr n);
+  let n = !n and keys = s.keys and vals = s.vals in
+  if Array.length s.ends < n_keys then s.ends <- Array.make n_keys 0
+  else Array.fill s.ends 0 n_keys 0;
+  if Array.length s.sorted < n then s.sorted <- Array.make n 0;
+  let ends = s.ends and sorted = s.sorted in
+  for i = 0 to n - 1 do
+    ends.(keys.(i)) <- ends.(keys.(i)) + 1
+  done;
+  let start = ref 0 in
+  for k = 0 to n_keys - 1 do
+    let c = ends.(k) in
+    ends.(k) <- !start;
+    start := !start + c
+  done;
+  for i = 0 to n - 1 do
+    let k = keys.(i) in
+    sorted.(ends.(k)) <- vals.(i);
+    ends.(k) <- ends.(k) + 1
+  done
+
+(* Intern every non-empty run of [s.sorted] into [arena], in ascending or
+   descending key order; the groups come back in ascending key order. *)
+let group_intern s arena ~n_keys ~descending =
+  let ends = s.ends and sorted = s.sorted in
+  let group k acc =
+    let lo = if k = 0 then 0 else ends.(k - 1) in
+    for i = lo + 1 to ends.(k) - 1 do
+      if sorted.(i - 1) >= sorted.(i) then
+        invalid_arg "Docset.group_in: a key's elements must arrive strictly increasing"
+    done;
+    if ends.(k) = lo then acc
+    else (k, { arena; id = A.intern_sub arena sorted ~off:lo ~len:(ends.(k) - lo) }) :: acc
+  in
+  let acc = ref [] in
+  if descending then
+    for k = n_keys - 1 downto 0 do
+      acc := group k !acc
+    done
+  else begin
+    for k = 0 to n_keys - 1 do
+      acc := group k !acc
+    done;
+    acc := List.rev !acc
+  end;
+  !acc
+
+let group_in arena ~n_keys ?(descending = false) feed =
+  let s = Domain.DLS.get group_scratch in
+  let s = if s.busy then fresh_group_scratch () else s in
+  s.busy <- true;
+  match
+    group_sort s ~n_keys feed;
+    group_intern s arena ~n_keys ~descending
+  with
+  | groups ->
+      s.busy <- false;
+      groups
+  | exception e ->
+      s.busy <- false;
+      raise e
 
 let consolidate sets =
   let n = Array.length sets in

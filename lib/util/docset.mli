@@ -49,6 +49,21 @@ val singleton_in : Docset_arena.t -> int -> t
 val in_arena : Docset_arena.t -> t -> t
 (** Rebase a handle into [arena] (no-op if it already lives there). *)
 
+val group_in :
+  Docset_arena.t ->
+  n_keys:int ->
+  ?descending:bool ->
+  ((int -> int -> unit) -> unit) ->
+  (int * t) list
+(** [group_in arena ~n_keys feed] calls [feed emit], where each
+    [emit key x] files [x] under [key] ([0 <= key < n_keys]), and returns
+    every non-empty group as [(key, set)] in ascending key order. Each
+    set is interned into [arena] in ascending key order, or descending
+    with [~descending:true]. A stable counting sort over per-domain
+    buffers: only sets new to [arena] are allocated.
+    @raise Invalid_argument on a key out of range, or when one key's
+    elements do not arrive strictly increasing. *)
+
 val consolidate : t array -> t array
 (** Rebase every handle into one shared arena (the first non-empty
     handle's arena) so subsequent cross-element set algebra is memoized

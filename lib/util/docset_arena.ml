@@ -35,9 +35,11 @@ type t = {
   reprs : repr array Atomic.t;
   fps : int array Atomic.t;
   n : int Atomic.t;
-  intern_tbl : (int, id list ref) Hashtbl.t;  (* fingerprint -> candidate ids *)
-  op_memo : (int * id * id, id) Hashtbl.t;
-  count_memo : (id * id, int) Hashtbl.t;  (* normalized pair -> |a inter b| *)
+  (* Each table is created on its first insert, so an arena that never
+     runs set algebra (one per value, one per segment block) owns one. *)
+  mutable intern_tbl : (int, id list ref) Hashtbl.t option;  (* fingerprint -> candidate ids *)
+  mutable op_memo : (int * id * id, id) Hashtbl.t option;
+  mutable count_memo : (id * id, int) Hashtbl.t option;  (* normalized pair -> |a inter b| *)
   mutable bytes : int;
   mutable dense_count : int;
   mutable sparse_count : int;
@@ -62,36 +64,34 @@ let fp_seed = 0x1505
 
 let fp_prime = 0x100000001b3
 
-let fingerprint_of_array a =
-  Array.fold_left (fun h x -> (h lxor x) * fp_prime land max_int) fp_seed a
+(* Fingerprint of [buf.(off) .. buf.(off + len - 1)]. *)
+let fingerprint_sub buf off len =
+  let h = ref fp_seed in
+  for i = off to off + len - 1 do
+    h := (!h lxor buf.(i)) * fp_prime land max_int
+  done;
+  !h
 
 let create () =
-  let reprs = Array.make 16 (Sparse [||]) in
-  let fps = Array.make 16 0 in
-  reprs.(0) <- Sparse [||];
-  fps.(0) <- fingerprint_of_array [||];
-  let t =
-    {
-      lock = Atomic.make false;
-      frozen = false;
-      reprs = Atomic.make reprs;
-      fps = Atomic.make fps;
-      n = Atomic.make 1;
-      intern_tbl = Hashtbl.create 64;
-      op_memo = Hashtbl.create 128;
-      count_memo = Hashtbl.create 128;
-      bytes = 0;
-      dense_count = 0;
-      sparse_count = 0;
-      intern_requests = 0;
-      dedup_hits = 0;
-      memo_hits = 0;
-    }
-  in
   (* The empty set is pre-interned as id 0 without counting as a request. *)
-  Hashtbl.replace t.intern_tbl fps.(0) (ref [ 0 ]);
-  t.sparse_count <- t.sparse_count + 1;
-  t
+  let reprs = Array.make 4 (Sparse [||]) in
+  let fps = Array.make 4 fp_seed in
+  {
+    lock = Atomic.make false;
+    frozen = false;
+    reprs = Atomic.make reprs;
+    fps = Atomic.make fps;
+    n = Atomic.make 1;
+    intern_tbl = None;
+    op_memo = None;
+    count_memo = None;
+    bytes = 0;
+    dense_count = 0;
+    sparse_count = 1;
+    intern_requests = 0;
+    dedup_hits = 0;
+    memo_hits = 0;
+  }
 
 (* A test-and-test-and-set lock on one Atomic: an arena that never meets a
    second domain (most of them: per-value sets, snapshot arenas) pays one
@@ -134,15 +134,28 @@ let repr_iter r f =
           done)
         words
 
+(* Write the members, ascending, to [out.(0) .. out.(cardinal - 1)]. *)
+let unpack_into r out =
+  match r with
+  | Sparse a -> Array.blit a 0 out 0 (Array.length a)
+  | Dense { base; words; _ } ->
+      let k = ref 0 in
+      for wi = 0 to Array.length words - 1 do
+        let w = ref words.(wi) in
+        while !w <> 0 do
+          let b = !w land - !w in
+          out.(!k) <- base + (word_bits * wi) + Bits.popcount (b - 1);
+          incr k;
+          w := !w land lnot b
+        done
+      done
+
 let repr_to_array r =
   match r with
   | Sparse a -> Array.copy a
   | Dense d ->
       let out = Array.make d.card 0 in
-      let k = ref 0 in
-      repr_iter r (fun x ->
-          out.(!k) <- x;
-          incr k);
+      unpack_into r out;
       out
 
 let repr_mem r x =
@@ -163,44 +176,52 @@ let repr_mem r x =
       && idx < word_bits * Array.length words
       && words.(idx / word_bits) land (1 lsl (idx mod word_bits)) <> 0
 
-(* Structural equality between an interned representation and a candidate
-   sorted array, allocation-free. *)
-let repr_equal_array r a =
-  match r with
+(* Structural equality between an interned representation and the
+   sorted slice [buf.(off) .. buf.(off + len - 1)], allocation-free. *)
+let repr_equal_sub r buf off len =
+  let ok = ref true and i = ref 0 in
+  (match r with
   | Sparse b ->
-      Array.length a = Array.length b
-      &&
-      let ok = ref true in
-      for i = 0 to Array.length a - 1 do
-        if a.(i) <> b.(i) then ok := false
-      done;
-      !ok
+      if Array.length b <> len then ok := false
+      else
+        while !ok && !i < len do
+          if buf.(off + !i) <> b.(!i) then ok := false;
+          incr i
+        done
   | Dense d ->
-      Array.length a = d.card && Array.for_all (fun x -> repr_mem r x) a
+      if d.card <> len then ok := false
+      else
+        while !ok && !i < len do
+          if not (repr_mem r buf.(off + !i)) then ok := false;
+          incr i
+        done);
+  !ok
 
-(* Pack a sorted strictly-increasing array into the denser of the two
-   representations. Negative elements force the sorted array. *)
-let pack a =
-  let n = Array.length a in
-  if n = 0 then Sparse [||]
+let repr_equal_array r a = repr_equal_sub r a 0 (Array.length a)
+
+(* Pack the sorted strictly-increasing slice [buf.(off) .. buf.(off +
+   len - 1)] into the denser of the two representations. A sorted-array
+   result keeps [buf] itself when [keep] (the slice is all of it) and
+   copies the slice otherwise. Negative elements force the sorted array. *)
+let pack ~keep buf off len =
+  let sparse () = if keep then Sparse buf else Sparse (Array.sub buf off len) in
+  if len = 0 then Sparse [||]
   else begin
-    let lo = a.(0) and hi = a.(n - 1) in
-    if lo < 0 then Sparse a
+    let lo = buf.(off) and hi = buf.(off + len - 1) in
+    if lo < 0 then sparse ()
     else begin
       let base = lo / word_bits * word_bits in
       let n_words = ((hi - base) / word_bits) + 1 in
       (* The bitset wins when its word count (plus header) undercuts the
          element count: density above ~1/32 across the span. *)
-      if n_words + 4 >= n then Sparse a
+      if n_words + 4 >= len then sparse ()
       else begin
         let words = Array.make n_words 0 in
-        Array.iter
-          (fun x ->
-            let idx = x - base in
-            words.(idx / word_bits) <-
-              words.(idx / word_bits) lor (1 lsl (idx mod word_bits)))
-          a;
-        Dense { base; words; card = n }
+        for i = off to off + len - 1 do
+          let idx = buf.(i) - base in
+          words.(idx / word_bits) <- words.(idx / word_bits) lor (1 lsl (idx mod word_bits))
+        done;
+        Dense { base; words; card = len }
       end
     end
   end
@@ -240,50 +261,110 @@ let freeze t =
 
 let is_frozen t = t.frozen
 
-(* The structurally equal interned set, if any. Called under the lock. *)
-let find_locked t fp a =
-  match Hashtbl.find_opt t.intern_tbl fp with
-  | None -> None
-  | Some bucket -> List.find_opt (fun id -> repr_equal_array (get_repr t id) a) !bucket
+(* The interned non-empty set equal to the slice, or -1. Called under
+   the lock. *)
+let rec find_in_bucket t bucket buf off len =
+  match bucket with
+  | [] -> -1
+  | id :: rest ->
+      if repr_equal_sub (get_repr t id) buf off len then id
+      else find_in_bucket t rest buf off len
 
-let intern_unchecked t a =
+let find_locked t fp buf off len =
+  match t.intern_tbl with
+  | None -> -1
+  | Some tbl -> (
+      match Hashtbl.find_opt tbl fp with
+      | None -> -1
+      | Some bucket -> find_in_bucket t !bucket buf off len)
+
+(* Index the newly published [id] by fingerprint. Called under the lock. *)
+let index_locked t fp id =
+  let tbl =
+    match t.intern_tbl with
+    | Some tbl -> tbl
+    | None ->
+        let tbl = Hashtbl.create 16 in
+        t.intern_tbl <- Some tbl;
+        tbl
+  in
+  match Hashtbl.find_opt tbl fp with
+  | Some bucket -> bucket := id :: !bucket
+  | None -> Hashtbl.add tbl fp (ref [ id ])
+
+(* Where a missed set's storage comes from: the interned array is the
+   caller's whole [buf] ([Owned]: the caller hands it over), a copy of
+   the slice ([Borrowed]), or an equal representation interned in another
+   arena ([Shared]; representations are immutable, so two arenas may hold
+   the same one). *)
+type source = Owned | Borrowed | Shared of repr
+
+(* Intern the sorted strictly-increasing slice [buf.(off) .. buf.(off +
+   len - 1)] whose fingerprint is [fp]. A dedup hit allocates nothing. *)
+let intern_slice t source fp buf off len =
   check_live t;
   Metrics.incr interned_counter;
-  let fp = fingerprint_of_array a in
   lock t;
   t.intern_requests <- t.intern_requests + 1;
-  (* The empty array finds the pre-interned empty set here. *)
-  match find_locked t fp a with
-  | Some id ->
-      t.dedup_hits <- t.dedup_hits + 1;
-      unlock t;
-      Metrics.incr dedup_counter;
-      id
-  | None ->
-      let r = pack a in
-      let id = Atomic.get t.n in
-      grow t id;
-      (* Fill the slot with plain stores, then publish it via [n]. *)
-      (Atomic.get t.reprs).(id) <- r;
-      (Atomic.get t.fps).(id) <- fp;
-      Atomic.set t.n (id + 1);
-      (match Hashtbl.find_opt t.intern_tbl fp with
-      | Some bucket -> bucket := id :: !bucket
-      | None -> Hashtbl.add t.intern_tbl fp (ref [ id ]));
-      t.bytes <- t.bytes + repr_bytes r;
-      (match r with
-      | Dense _ -> t.dense_count <- t.dense_count + 1
-      | Sparse _ -> t.sparse_count <- t.sparse_count + 1);
-      unlock t;
-      Metrics.incr (match r with Dense _ -> dense_counter | Sparse _ -> sparse_counter);
-      id
+  (* An empty slice is the pre-interned empty set, which is not indexed. *)
+  let found = if len = 0 then empty_id else find_locked t fp buf off len in
+  if found >= 0 then begin
+    t.dedup_hits <- t.dedup_hits + 1;
+    unlock t;
+    Metrics.incr dedup_counter;
+    found
+  end
+  else begin
+    let r =
+      match source with
+      | Shared r -> r
+      | Owned -> pack ~keep:(off = 0 && len = Array.length buf) buf off len
+      | Borrowed -> pack ~keep:false buf off len
+    in
+    let id = Atomic.get t.n in
+    grow t id;
+    (* Fill the slot with plain stores, then publish it via [n]. *)
+    (Atomic.get t.reprs).(id) <- r;
+    (Atomic.get t.fps).(id) <- fp;
+    Atomic.set t.n (id + 1);
+    index_locked t fp id;
+    t.bytes <- t.bytes + repr_bytes r;
+    (match r with
+    | Dense _ -> t.dense_count <- t.dense_count + 1
+    | Sparse _ -> t.sparse_count <- t.sparse_count + 1);
+    unlock t;
+    Metrics.incr (match r with Dense _ -> dense_counter | Sparse _ -> sparse_counter);
+    id
+  end
+
+let intern_unchecked t a =
+  let len = Array.length a in
+  intern_slice t Owned (fingerprint_sub a 0 len) a 0 len
+
+let intern_sub t buf ~off ~len =
+  if off < 0 || len < 0 || off + len > Array.length buf then
+    invalid_arg "Docset_arena.intern_sub: slice out of bounds";
+  intern_slice t Borrowed (fingerprint_sub buf off len) buf off len
 
 let intern t a =
   for i = 1 to Array.length a - 1 do
     if a.(i - 1) >= a.(i) then
       invalid_arg "Docset_arena.intern: array must be sorted strictly increasing"
   done;
-  intern_unchecked t (Array.copy a)
+  let len = Array.length a in
+  intern_slice t Borrowed (fingerprint_sub a 0 len) a 0 len
+
+(* Intern set [id] of [src] into [t] — the same id when [src == t]. On a
+   miss the representation is shared, not copied. A sorted array is
+   compared in place; a bitset is unpacked for the comparison. *)
+let import t ~src id =
+  check_id src id;
+  if src == t then id
+  else begin
+    let r = get_repr src id in
+    let a = match r with Sparse a -> a | Dense _ -> repr_to_array r in
+    intern_slice t (Shared r) (get_fp src id) a 0 (Array.length a)
+  end
 
 (* --- accessors --------------------------------------------------------- *)
 
@@ -332,52 +413,80 @@ let equal_array t id a =
 
 (* --- set algebra ------------------------------------------------------- *)
 
-(* Merge two sorted arrays; [keep_left_only]/[keep_both]/[keep_right_only]
-   select union, intersection or difference. *)
-let merge ~left ~both ~right a b =
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0 in
+(* Merge the sorted prefixes [a.(0 .. na-1)] and [b.(0 .. nb-1)] into
+   [out], keeping elements only in [a] ([left]), in both ([both]) or only
+   in [b] ([right]): union, intersection or difference. Returns the
+   result's length. *)
+let merge_into ~left ~both ~right a na b nb out =
   let i = ref 0 and j = ref 0 and k = ref 0 in
-  let push x =
-    out.(!k) <- x;
-    incr k
-  in
   while !i < na && !j < nb do
     let x = a.(!i) and y = b.(!j) in
     if x < y then begin
-      if left then push x;
+      if left then begin
+        out.(!k) <- x;
+        incr k
+      end;
       incr i
     end
     else if y < x then begin
-      if right then push y;
+      if right then begin
+        out.(!k) <- y;
+        incr k
+      end;
       incr j
     end
     else begin
-      if both then push x;
+      if both then begin
+        out.(!k) <- x;
+        incr k
+      end;
       incr i;
       incr j
     end
   done;
-  if left then
-    while !i < na do
-      push a.(!i);
-      incr i
-    done;
-  if right then
-    while !j < nb do
-      push b.(!j);
-      incr j
-    done;
-  if !k = na + nb then out else Array.sub out 0 !k
+  if left then begin
+    Array.blit a !i out !k (na - !i);
+    k := !k + (na - !i)
+  end;
+  if right then begin
+    Array.blit b !j out !k (nb - !j);
+    k := !k + (nb - !j)
+  end;
+  !k
+
+(* Per-domain merge buffers: [left]/[right] hold unpacked bitset operands,
+   [out] receives merge results. They only grow, so a domain's steady
+   state allocates nothing here. An operation holds them until its result
+   is interned; a systhread that finds its domain's buffers held (another
+   thread of the domain was preempted mid-operation) works in fresh ones. *)
+type scratch = {
+  mutable busy : bool;
+  mutable left : int array;
+  mutable right : int array;
+  mutable out : int array;
+}
+
+let fresh_scratch () = { busy = false; left = [||]; right = [||]; out = [||] }
+let scratch = Domain.DLS.new_key fresh_scratch
+
+let take_scratch () =
+  let s = Domain.DLS.get scratch in
+  let s = if s.busy then fresh_scratch () else s in
+  s.busy <- true;
+  s
+
+let at_least buf n =
+  if Array.length buf >= n then buf else Array.make (max n (2 * Array.length buf)) 0
 
 let op_union = 0
 let op_inter = 1
 let op_diff = 2
 
-(* Probe a memo table under the lock, counting a hit. *)
+(* Probe a memo table under the lock, counting a hit. [tbl] reads the
+   table field, which a first insert may set from another domain. *)
 let memo_find t tbl key =
   lock t;
-  let r = Hashtbl.find_opt tbl key in
+  let r = match tbl t with None -> None | Some tbl -> Hashtbl.find_opt tbl key in
   if Option.is_some r then t.memo_hits <- t.memo_hits + 1;
   unlock t;
   if Option.is_some r then Metrics.incr memo_counter;
@@ -385,29 +494,67 @@ let memo_find t tbl key =
 
 (* Memoize a result computed outside the lock. Interning is canonical, so
    a racing domain that computed the same entry stores the same value. *)
-let memo_add t tbl key v =
+let memo_add t tbl set key v =
   lock t;
-  Hashtbl.replace tbl key v;
+  (match tbl t with
+  | Some tbl -> Hashtbl.replace tbl key v
+  | None ->
+      let tbl = Hashtbl.create 64 in
+      Hashtbl.replace tbl key v;
+      set t tbl);
   unlock t
 
+let op_memo t = t.op_memo
+let set_op_memo t tbl = t.op_memo <- Some tbl
+let count_memo t = t.count_memo
+let set_count_memo t tbl = t.count_memo <- Some tbl
+
+(* The elements of [r] as a sorted array prefix: a sorted-array set is
+   read in place (interned arrays are never mutated), a bitset is
+   unpacked into [buf]. *)
+let operand r buf =
+  match r with
+  | Sparse a -> a
+  | Dense _ ->
+      unpack_into r buf;
+      buf
+
+(* Merge [a op b] into [s.out] and intern the result. *)
+let merge_and_intern t s op a b =
+  let ra = get_repr t a and rb = get_repr t b in
+  let na = repr_cardinal ra and nb = repr_cardinal rb in
+  (match ra with Dense _ -> s.left <- at_least s.left na | Sparse _ -> ());
+  (match rb with Dense _ -> s.right <- at_least s.right nb | Sparse _ -> ());
+  s.out <- at_least s.out (if op = op_union then na + nb else na);
+  let aa = operand ra s.left and ba = operand rb s.right in
+  let len =
+    if op = op_union then merge_into ~left:true ~both:true ~right:true aa na ba nb s.out
+    else if op = op_inter then merge_into ~left:false ~both:true ~right:false aa na ba nb s.out
+    else merge_into ~left:true ~both:false ~right:false aa na ba nb s.out
+  in
+  intern_slice t Borrowed (fingerprint_sub s.out 0 len) s.out 0 len
+
+(* Set algebra on interned operands: memo hit, or a merge into this
+   domain's scratch buffer that is then interned — copied out once, at its
+   exact size, only when the result is a new set. *)
 let binop t op a b =
   check_live t;
   check_id t a;
   check_id t b;
   (* Union and intersection are commutative: normalize the key. *)
   let key = if op <> op_diff && a > b then (op, b, a) else (op, a, b) in
-  match memo_find t t.op_memo key with
+  match memo_find t op_memo key with
   | Some r -> r
   | None ->
-      let aa = repr_to_array (get_repr t a) and ba = repr_to_array (get_repr t b) in
-      let out =
-        if op = op_union then merge ~left:true ~both:true ~right:true aa ba
-        else if op = op_inter then merge ~left:false ~both:true ~right:false aa ba
-        else merge ~left:true ~both:false ~right:false aa ba
-      in
-      let r = intern_unchecked t out in
-      memo_add t t.op_memo key r;
-      r
+      let s = take_scratch () in
+      match merge_and_intern t s op a b with
+      | r ->
+          s.busy <- false;
+          memo_add t op_memo set_op_memo key r;
+          r
+      | exception e ->
+          s.busy <- false;
+          raise e
 
 let union t a b =
   if a = empty_id then b else if b = empty_id then a else if a = b then a else binop t op_union a b
@@ -478,15 +625,14 @@ let inter_cardinal t a b =
       (* Frozen arena: nobody inserts into [count_memo] anymore, so a
          lookup is race-free from any domain without the lock. Misses
          recompute without memoizing. *)
-      match Hashtbl.find_opt t.count_memo key with
-      | Some c -> c
-      | None -> inter_cardinal_raw t a b
+      let memo = match t.count_memo with Some tbl -> Hashtbl.find_opt tbl key | None -> None in
+      match memo with Some c -> c | None -> inter_cardinal_raw t a b
     else
-      match memo_find t t.count_memo key with
+      match memo_find t count_memo key with
       | Some c -> c
       | None ->
           let c = inter_cardinal_raw t a b in
-          memo_add t t.count_memo key c;
+          memo_add t count_memo set_count_memo key c;
           c
   end
 

@@ -66,6 +66,18 @@ val intern_unchecked : t -> int array -> id
 (** [intern] without the sortedness check; the caller must guarantee it.
     The array must not be mutated afterwards (the arena may keep it). *)
 
+val intern_sub : t -> int array -> off:int -> len:int -> id
+(** Intern the slice [a.(off) .. a.(off + len - 1)], which the caller
+    guarantees sorted strictly increasing. The slice is copied only when
+    it is a new set; a dedup hit allocates nothing, so a caller may
+    intern out of a reused buffer.
+    @raise Invalid_argument if the slice is out of bounds. *)
+
+val import : t -> src:t -> id -> id
+(** [import t ~src id] interns set [id] of arena [src] into [t] (the same
+    id when [src == t]). The representation is shared, not copied:
+    interned sets are immutable. *)
+
 val cardinal : t -> id -> int
 (** O(1). *)
 
@@ -93,8 +105,10 @@ val equal_array : t -> id -> int array -> bool
 val union : t -> id -> id -> id
 val inter : t -> id -> id -> id
 val diff : t -> id -> id -> id
-(** Memoized per (operation, operand pair): the first call materializes
-    and interns the result, repeats are table hits. *)
+(** Memoized per (operation, operand pair): the first call merges the
+    operands in place (bitsets are unpacked into a per-domain buffer) into
+    a per-domain result buffer and interns it, repeats are table hits.
+    Only a result that is a new set is copied out of the buffer. *)
 
 val union_many : t -> id list -> id
 (** Fold of memoized {!union}s over the de-duplicated, ascending operand

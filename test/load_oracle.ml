@@ -1,6 +1,7 @@
-(* Reference implementations of the corpus load path: the straightforward
-   list-based and [Array.sort]-based constructors that the monomorphic,
-   allocation-light ones in lib/ must reproduce exactly. Test-only. *)
+(* Reference implementations of the corpus load path and the on-line
+   tree input: the straightforward list-, [Hashtbl]- and [Array.sort]-based
+   constructors that the monomorphic, allocation-light ones in lib/ must
+   reproduce exactly. Test-only. *)
 
 (* Sorted, duplicate-free copy via the polymorphic stdlib sort. *)
 let sorted_unique a =
@@ -91,3 +92,55 @@ let index (citations : Bionav_corpus.Citation.t array) =
     citations;
   Hashtbl.fold (fun tok l acc -> (tok, Array.of_list (List.rev !l)) :: acc) buckets []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* The on-line tree input, bucketed through a [Hashtbl] of lists: every
+   concept annotating a citation of [result], ascending, with the result
+   citations it annotates. Citations are visited in increasing order, so
+   each reversed bucket is sorted. *)
+let concepts_of_result db result =
+  let buckets = Hashtbl.create 256 in
+  Bionav_util.Docset.iter
+    (fun cit ->
+      Bionav_store.Database.iter_concepts_of_citation db cit (fun concept ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt buckets concept) in
+          Hashtbl.replace buckets concept (cit :: prev)))
+    result;
+  Hashtbl.fold (fun concept cits acc -> (concept, Array.of_list (List.rev cits)) :: acc) buckets []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* The navigation tree over that input, each attachment first held by a
+   private arena and then copied into the tree's. *)
+let nav_tree db result =
+  Bionav_core.Nav_tree.build ~hierarchy:(Bionav_store.Database.hierarchy db)
+    ~attachments:
+      (List.map
+         (fun (c, cits) -> (c, Bionav_util.Docset.of_sorted_array_unchecked cits))
+         (concepts_of_result db result))
+    ~total_count:(Bionav_store.Database.total_count db)
+
+(* The qualifier-facet tree: citations bucketed by primary-qualifier page
+   through per-page lists, attachments listed (and so interned) from the
+   last page to the first, totals counted over the whole corpus. *)
+let facet_tree ~hierarchy medline result =
+  let module Nav_space = Bionav_core.Nav_space in
+  let module Medline = Bionav_corpus.Medline in
+  let page cit =
+    Nav_space.page_concept (Nav_space.primary_qualifier (Medline.citation medline cit))
+  in
+  let n_pages = Bionav_mesh.Hierarchy.size hierarchy in
+  let totals = Array.make n_pages 0 in
+  for cit = 0 to Medline.size medline - 1 do
+    totals.(page cit) <- totals.(page cit) + 1
+  done;
+  totals.(0) <- Medline.size medline;
+  let pages = Array.make n_pages [] in
+  Bionav_util.Docset.iter (fun cit -> pages.(page cit) <- cit :: pages.(page cit)) result;
+  let attachments = ref [] in
+  Array.iteri
+    (fun p cits ->
+      if cits <> [] then
+        attachments :=
+          (p, Bionav_util.Docset.of_sorted_array_unchecked (Array.of_list (List.rev cits)))
+          :: !attachments)
+    pages;
+  Bionav_core.Nav_tree.build ~hierarchy ~attachments:!attachments ~total_count:(fun c -> totals.(c))

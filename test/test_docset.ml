@@ -240,6 +240,178 @@ let prop_shared_arena =
       same_everywhere && ids_canonical && results_match
       && (A.stats arena).A.sets = Hashtbl.length distinct)
 
+(* --- differential against the reference arena ---------------------------- *)
+
+module O = Arena_oracle
+
+(* One step of a script. Operands index the ids the script has produced
+   so far (modulo their number), so one script runs on any arena. *)
+type step =
+  | Intern of int array
+  | Union of int * int
+  | Inter of int * int
+  | Diff of int * int
+  | Union_many of int list
+  | Import of int array  (* rebase a set held by a private arena *)
+
+(* Dense runs and scattered points over a small universe, so results
+   collide with earlier sets (dedup hits) and operations repeat (memo
+   hits). *)
+let random_set rng =
+  let base = Rng.int rng 1500 and span = 1 + Rng.int rng 700 in
+  let p = if Rng.bool rng then 0.6 else 0.02 in
+  Array.of_list (List.filter (fun _ -> Rng.bernoulli rng p) (List.init span (( + ) base)))
+
+let random_script rng len =
+  List.init len (fun i ->
+      let pick () = Rng.int rng (i + 1) in
+      match Rng.int rng 8 with
+      | 0 | 1 -> Intern (random_set rng)
+      | 2 -> Union (pick (), pick ())
+      | 3 -> Inter (pick (), pick ())
+      | 4 -> Diff (pick (), pick ())
+      | 5 -> Union_many (List.init (2 + Rng.int rng 3) (fun _ -> pick ()))
+      | 6 -> Import (random_set rng)
+      | _ -> Union (pick (), pick ()))
+
+(* Run [script]; [ids] starts with the empty set so every index resolves. *)
+let run_script ~intern ~union ~inter ~diff ~union_many ~import script =
+  let ids = ref [| A.empty_id |] in
+  List.iter
+    (fun step ->
+      let get i = !ids.(i mod Array.length !ids) in
+      let id =
+        match step with
+        | Intern a -> intern a
+        | Union (i, j) -> union (get i) (get j)
+        | Inter (i, j) -> inter (get i) (get j)
+        | Diff (i, j) -> diff (get i) (get j)
+        | Union_many l -> union_many (List.map get l)
+        | Import a -> import a
+      in
+      ids := Array.append !ids [| id |])
+    script;
+  !ids
+
+let run_arena arena =
+  run_script ~intern:(A.intern arena) ~union:(A.union arena) ~inter:(A.inter arena)
+    ~diff:(A.diff arena) ~union_many:(A.union_many arena) ~import:(fun a ->
+      let src = A.create () in
+      A.import arena ~src (A.intern src a))
+
+let run_oracle o =
+  run_script ~intern:(O.intern o) ~union:(O.union o) ~inter:(O.inter o) ~diff:(O.diff o)
+    ~union_many:(O.union_many o) ~import:(fun a ->
+      let src = O.create () in
+      O.import o ~src (O.intern src a))
+
+(* The in-place kernels intern the same sets under the same ids, with the
+   same stats, as the copying reference arena. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"arena = reference arena (ids, contents, stats)" ~count:150
+    QCheck.(pair int (int_range 1 80))
+    (fun (seed, len) ->
+      let script = random_script (Rng.create seed) len in
+      let arena = A.create () and o = O.create () in
+      let ids = run_arena arena script and oids = run_oracle o script in
+      ids = oids
+      && Array.for_all (fun id -> A.to_array arena id = O.to_array o id) ids
+      && A.stats arena = O.stats o)
+
+(* k domains run their own scripts against one shared arena. Ids then
+   depend on the interleaving, so each step is held to the reference
+   arena's contents, and the shared arena to one id per distinct set. *)
+let prop_matches_reference_domains =
+  QCheck.Test.make ~name:"k domains = reference arena (contents)" ~count:25
+    QCheck.(triple (int_range 2 4) int (int_range 1 60))
+    (fun (k, seed, len) ->
+      let scripts = Array.init k (fun d -> random_script (Rng.create (seed + d)) len) in
+      let arena = A.create () in
+      let outs =
+        Array.map Domain.join
+          (Array.init k (fun d -> Domain.spawn (fun () -> run_arena arena scripts.(d))))
+      in
+      let contents_match d =
+        let o = O.create () in
+        let oids = run_oracle o scripts.(d) in
+        Array.for_all2 (fun id oid -> A.to_array arena id = O.to_array o oid) outs.(d) oids
+      in
+      let st = A.stats arena in
+      let distinct = Hashtbl.create 64 in
+      for id = 0 to st.A.sets - 1 do
+        Hashtbl.replace distinct (A.to_array arena id) ()
+      done;
+      List.for_all contents_match (List.init k Fun.id) && Hashtbl.length distinct = st.A.sets)
+
+(* A memo hit, a dedup hit and a sorted-array rebase copy no operand:
+   every set here is under 256 words, so any copy of one would be a minor
+   allocation. *)
+let test_hits_allocate_no_operand () =
+  let arena = A.create () in
+  let sparse k = Array.init 120 (fun i -> (i * 97) + k) in
+  let a = A.intern arena (sparse 0) and b = A.intern arena (sparse 1) in
+  let dense = A.intern arena (Array.init 120 (fun i -> 20_000 + i)) in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()) : int);
+    Gc.minor_words () -. before
+  in
+  let small = 40. in
+  (* Warm the per-domain merge buffers. *)
+  ignore (A.union arena a dense : int);
+  ignore (A.inter arena a b : int);
+  let ab = A.union arena a b in
+  let hit = words (fun () -> A.union arena a b) in
+  Alcotest.(check bool) (Printf.sprintf "memo hit: %.0f words" hit) true (hit < small);
+  (* [a - dense] = [a]: a memo miss whose result is already interned. *)
+  let dedup = words (fun () -> A.diff arena a dense) in
+  Alcotest.(check int) "diff is a" a (A.diff arena a dense);
+  Alcotest.(check bool) (Printf.sprintf "dedup hit: %.0f words" dedup) true (dedup < small);
+  (* A slice of a reused buffer that is already interned. *)
+  let buf = Array.append [| -1 |] (A.to_array arena ab) in
+  let sub = words (fun () -> A.intern_sub arena buf ~off:1 ~len:240) in
+  Alcotest.(check bool) (Printf.sprintf "intern_sub hit: %.0f words" sub) true (sub < small);
+  Alcotest.(check int) "intern_sub finds the set" ab (A.intern_sub arena buf ~off:1 ~len:240);
+  (* Rebasing shares a sorted array. *)
+  let target = A.create () in
+  let rebase = words (fun () -> A.import target ~src:arena a) in
+  Alcotest.(check bool) (Printf.sprintf "rebase: %.0f words" rebase) true (rebase < small);
+  Alcotest.(check (array int)) "rebased content" (sparse 0)
+    (A.to_array target (A.import target ~src:arena a))
+
+let test_group_in () =
+  let arena = A.create () in
+  let feed emit = List.iter (fun (k, x) -> emit k x) [ (2, 1); (0, 1); (2, 4); (0, 7); (3, 9) ] in
+  let groups = Docset.group_in arena ~n_keys:4 feed in
+  Alcotest.(check (list (pair int (list int)))) "ascending groups"
+    [ (0, [ 1; 7 ]); (2, [ 1; 4 ]); (3, [ 9 ]) ]
+    (List.map (fun (k, s) -> (k, Docset.elements s)) groups);
+  Alcotest.(check bool) "interned in the arena" true
+    (List.for_all (fun (_, s) -> Docset.arena s == arena) groups);
+  (* Intern order: ascending gives increasing ids, descending decreasing. *)
+  let ids groups = List.map (fun (_, s) -> Docset.id s) groups in
+  Alcotest.(check (list int)) "ascending ids" [ 1; 2; 3 ] (ids groups);
+  let desc = Docset.group_in (A.create ()) ~n_keys:4 ~descending:true feed in
+  Alcotest.(check (list int)) "descending ids" [ 3; 2; 1 ] (ids desc);
+  (* A nested call, as another systhread of the domain could make, works
+     in buffers of its own. *)
+  let inner = ref [] in
+  let outer =
+    Docset.group_in arena ~n_keys:4 (fun emit ->
+        emit 1 3;
+        inner := Docset.group_in arena ~n_keys:4 (fun emit -> emit 2 8; emit 2 9);
+        emit 1 6)
+  in
+  let elements groups = List.map (fun (k, s) -> (k, Docset.elements s)) groups in
+  Alcotest.(check (list (pair int (list int)))) "outer" [ (1, [ 3; 6 ]) ] (elements outer);
+  Alcotest.(check (list (pair int (list int)))) "inner" [ (2, [ 8; 9 ]) ] (elements !inner);
+  Alcotest.check_raises "key out of range"
+    (Invalid_argument "Docset.group_in: key 4 outside [0, 4)")
+    (fun () -> ignore (Docset.group_in arena ~n_keys:4 (fun emit -> emit 4 0)));
+  Alcotest.check_raises "unsorted group"
+    (Invalid_argument "Docset.group_in: a key's elements must arrive strictly increasing")
+    (fun () -> ignore (Docset.group_in arena ~n_keys:4 (fun emit -> emit 1 5; emit 1 5)))
+
 let () =
   Alcotest.run "docset"
     [
@@ -253,8 +425,15 @@ let () =
           Alcotest.test_case "algebra memoized" `Quick test_algebra_memoized;
           Alcotest.test_case "cardinal family" `Quick test_cardinal_family;
           Alcotest.test_case "union_many" `Quick test_union_many_arena;
+          Alcotest.test_case "hits allocate no operand" `Quick test_hits_allocate_no_operand;
+          Alcotest.test_case "group_in" `Quick test_group_in;
         ] );
-      ("concurrency", [ QCheck_alcotest.to_alcotest prop_shared_arena ]);
+      ("reference", [ QCheck_alcotest.to_alcotest prop_matches_reference ]);
+      ( "concurrency",
+        [
+          QCheck_alcotest.to_alcotest prop_shared_arena;
+          QCheck_alcotest.to_alcotest prop_matches_reference_domains;
+        ] );
       ( "handle",
         [
           Alcotest.test_case "basics" `Quick test_handle_basics;

@@ -398,6 +398,46 @@ let test_database_assoc_raises_on_external () =
 
 (* --- metamorphic: both backends answer identically ----------------------- *)
 
+(* The same node, with the same set ids, in the same-looking arena. *)
+let check_same_tree what expected actual =
+  let open Bionav_core in
+  Alcotest.(check int) (what ^ ": size") (Nav_tree.size expected) (Nav_tree.size actual);
+  for node = 0 to Nav_tree.size expected - 1 do
+    let same f = f expected node = f actual node in
+    let same_id f = Docset.id (f expected node) = Docset.id (f actual node) in
+    if
+      not
+        (same Nav_tree.concept_id && same Nav_tree.parent && same Nav_tree.total
+        && same_id Nav_tree.results && same_id Nav_tree.subtree_results)
+    then Alcotest.failf "%s: node %d diverges" what node
+  done;
+  if Docset_arena.stats (Nav_tree.arena expected) <> Docset_arena.stats (Nav_tree.arena actual)
+  then Alcotest.failf "%s: arena stats diverge" what
+
+(* Tree input, on both backends and for both dimensions, equals the
+   Hashtbl-of-lists oracle node for node, ids and arena stats included. *)
+let test_tree_input_matches_oracle () =
+  let open Bionav_core in
+  let medline = Lazy.force medline in
+  let mem_db = Lazy.force database in
+  let ext_db = Bridge.database (Lazy.force opened) (Lazy.force hierarchy) in
+  let rng = Rng.create 75 in
+  for round = 1 to 6 do
+    (* Round 1 takes the whole corpus, later rounds random subsets. *)
+    let result =
+      if round = 1 then Docset.of_list (List.init (M.size medline) Fun.id)
+      else Docset.of_list (List.init (20 + Rng.int rng 120) (fun _ -> Rng.int rng (M.size medline)))
+    in
+    List.iter
+      (fun (name, db) ->
+        check_same_tree name (Load_oracle.nav_tree db result) (Nav_tree.of_database db result);
+        let deriver = Nav_space.deriver ~medline db in
+        check_same_tree (name ^ " facet")
+          (Load_oracle.facet_tree ~hierarchy:(Nav_space.facet_hierarchy deriver) medline result)
+          (Nav_space.derive deriver Nav_space.Qualifier_facet result))
+      [ ("memory", mem_db); ("segstore", ext_db) ]
+  done
+
 let test_nav_trees_identical () =
   let open Bionav_core in
   let store = Lazy.force opened in
@@ -530,7 +570,10 @@ let () =
             test_database_assoc_raises_on_external;
         ] );
       ( "metamorphic",
-        [ Alcotest.test_case "backends identical" `Quick test_nav_trees_identical ] );
+        [
+          Alcotest.test_case "backends identical" `Quick test_nav_trees_identical;
+          Alcotest.test_case "tree input matches oracle" `Quick test_tree_input_matches_oracle;
+        ] );
       ( "streaming parsers",
         [
           Alcotest.test_case "nbib fold = of_string" `Quick test_nbib_fold_matches_of_string;

@@ -72,7 +72,8 @@ let test_concepts_of_result_correct () =
   let db = Lazy.force database in
   let m = Lazy.force medline in
   let result = Intset.of_list [ 0; 5; 17; 100 ] in
-  let by_concept = DB.concepts_of_result db result in
+  let arena = Docset_arena.create () in
+  let by_concept = DB.concepts_of_result db arena (Docset.of_intset result) in
   (* Model: recompute naively from citations. *)
   let expected = Hashtbl.create 64 in
   Intset.iter
@@ -89,13 +90,16 @@ let test_concepts_of_result_correct () =
       match Hashtbl.find_opt expected concept with
       | None -> Alcotest.fail (Printf.sprintf "unexpected concept %d" concept)
       | Some s ->
-          Alcotest.(check bool) (Printf.sprintf "citations of %d" concept) true (Intset.equal s cits))
+          Alcotest.(check bool) (Printf.sprintf "in the given arena %d" concept) true
+            (Docset.arena cits == arena);
+          Alcotest.(check bool) (Printf.sprintf "citations of %d" concept) true
+            (Intset.equal s (Docset.to_intset cits)))
     by_concept
 
 let test_concepts_of_result_sorted () =
   let db = Lazy.force database in
-  let result = Intset.of_list [ 1; 2; 3 ] in
-  let concepts = List.map fst (DB.concepts_of_result db result) in
+  let result = Docset.of_list [ 1; 2; 3 ] in
+  let concepts = List.map fst (DB.concepts_of_result db (Docset_arena.create ()) result) in
   Alcotest.(check (list int)) "ascending" (List.sort Int.compare concepts) concepts
 
 let test_make_rejects_mismatch () =
