@@ -24,6 +24,12 @@ let workload_seed = 11
 (* Set by the [--smoke] flag: shrink file-writing benches to CI size. *)
 let smoke_mode = ref false
 
+(* Where a bench whose committed artifact is full-size writes its
+   results: a smoke run goes to the git-ignored BENCH_<name>.local.json
+   and leaves the committed BENCH_<name>.json alone. *)
+let artifact_path name =
+  Printf.sprintf "BENCH_%s%s.json" name (if !smoke_mode then ".local" else "")
+
 let workload = lazy (Q.build ~seed:workload_seed ())
 
 let runs = lazy (E.run_all (Lazy.force workload))
@@ -1585,7 +1591,8 @@ module Gen = Bionav_corpus.Generator
 
 (* Both segstore targets contribute fragments to one artifact, so
    `bench/main.exe ingest coldexpand` produces a single
-   BENCH_ingest.json covering ingest and serving. *)
+   BENCH_ingest.json (BENCH_ingest.local.json with --smoke) covering
+   ingest and serving. *)
 let segstore_json : (string * string) list ref = ref []
 
 let write_segstore_json () =
@@ -1596,7 +1603,7 @@ let write_segstore_json () =
             (fun (k, v) -> Printf.sprintf "  \"%s\": %s" k v)
             (List.rev !segstore_json)))
   in
-  let path = "BENCH_ingest.json" in
+  let path = artifact_path "ingest" in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
   say "  wrote %s" path
@@ -2214,7 +2221,7 @@ let serve_bench () =
       n_client_threads error_count error_rate p50 p99 p99_ceiling_ms open_throughput
       sat_reqs thr1 thr2
   in
-  let path = "BENCH_serve.json" in
+  let path = artifact_path "serve" in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
   say "  wrote %s" path;
@@ -2417,7 +2424,7 @@ let adaptive_bench () =
             runs))
       wins
   in
-  let path = "BENCH_adaptive.json" in
+  let path = artifact_path "adaptive" in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
   say "  wrote %s" path;
@@ -2552,7 +2559,7 @@ let navspace_bench () =
                 r.E.facet_cost)
             space_runs))
   in
-  let path = "BENCH_navspace.json" in
+  let path = artifact_path "navspace" in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
   say "  wrote %s" path;

@@ -8,7 +8,13 @@
     full subtrees under the cut children as new (visible-rooted) lower
     components; the remainder stays with the upper root. The visualization
     (Definition 5) is the embedded tree of visible nodes with each node
-    showing the distinct citation count of its component. *)
+    showing the distinct citation count of its component.
+
+    Each component keeps its members as an immutable sorted array and
+    computes its results, member set and explore weight at most once, on
+    first use; {!backtrack} restores the previous component with those
+    values. Mutations and first uses must be serialized by the caller
+    (the engine's shard lock). *)
 
 type t
 
@@ -25,9 +31,11 @@ val visible : t -> int list
 val component_root_of : t -> int -> int
 (** The visible root of the component containing the given node. *)
 
-val component : t -> int -> int list
+val component : t -> int -> int array
 (** Members (ascending navigation ids) of the component rooted at a visible
-    node. @raise Invalid_argument if the node is not visible. *)
+    node: the component's own array, shared and never mutated, which the
+    caller must not mutate either. @raise Invalid_argument if the node is
+    not visible. *)
 
 val component_size : t -> int -> int
 val component_distinct : t -> int -> int
@@ -36,6 +44,15 @@ val component_distinct : t -> int -> int
     revealed). *)
 
 val component_results : t -> int -> Bionav_util.Docset.t
+(** The component's distinct citations, in the navigation tree's arena. A
+    component that is a whole navigation subtree shares
+    {!Nav_tree.subtree_results}. *)
+
+val component_weight : t -> int -> float
+(** Raw explore mass of a visible node's component, [Σ |L| / |LT|] over
+    its members summed in ascending order: the relevance signal
+    {!Relevance} ranks by. @raise Invalid_argument if the node is not
+    visible. *)
 
 val component_set : t -> int -> Bionav_util.Docset.t
 (** The member {e navigation ids} as a set interned in the navigation
@@ -55,6 +72,11 @@ val apply_cut : t -> root:int -> cut_children:int list -> int list
     non-ancestor-related. Returns the newly visible nodes (the lower roots,
     ascending). The operation is recorded for {!backtrack}.
     @raise Invalid_argument on an invalid cut. *)
+
+val hidden_children : t -> int -> int list
+(** Navigation children of a visible node that are still inside its
+    component, in navigation order.
+    @raise Invalid_argument if the node is not visible. *)
 
 val expand_static : t -> int -> int list
 (** The static baseline's EXPAND: cut at every child of [root] inside its

@@ -26,13 +26,14 @@ let build_in arena ~hierarchy ~attachments ~total_count =
   (* Every set the tree retains is interned into one arena: nodes sharing
      a citation list share one physical copy, and the bottom-up subtree
      unions below seed the arena's op memo for the cost model. *)
-  let attached = Array.make n_concepts (Docset.in_arena arena Docset.empty) in
-  (* Attached concepts and their ancestors: the only hierarchy nodes the
-     embedding below visits. *)
-  let marked = Bytes.make n_concepts '\000' in
+  let empty = Docset.in_arena arena Docset.empty in
+  (* The attached concepts and their ancestors, the only hierarchy nodes
+     the embedding below visits, each with its attached set (empty for an
+     ancestor with none). Sized by the attachments, not the hierarchy. *)
+  let attached = Hashtbl.create (max 16 (List.length attachments)) in
   let rec mark c =
-    if c >= 0 && Bytes.get marked c = '\000' then begin
-      Bytes.set marked c '\001';
+    if c >= 0 && not (Hashtbl.mem attached c) then begin
+      Hashtbl.replace attached c empty;
       mark (Hierarchy.parent hierarchy c)
     end
   in
@@ -40,22 +41,28 @@ let build_in arena ~hierarchy ~attachments ~total_count =
     (fun (c, set) ->
       if c < 0 || c >= n_concepts then
         invalid_arg (Printf.sprintf "Nav_tree.build: unknown concept %d" c);
-      if not (Docset.is_empty attached.(c)) then
-        invalid_arg (Printf.sprintf "Nav_tree.build: duplicate attachment for concept %d" c);
-      attached.(c) <- Docset.in_arena arena set;
-      if not (Docset.is_empty set) then mark c)
+      (match Hashtbl.find_opt attached c with
+      | Some prev when not (Docset.is_empty prev) ->
+          invalid_arg (Printf.sprintf "Nav_tree.build: duplicate attachment for concept %d" c)
+      | Some _ | None -> ());
+      let set = Docset.in_arena arena set in
+      if not (Docset.is_empty set) then begin
+        Hashtbl.replace attached c set;
+        mark (Hierarchy.parent hierarchy c)
+      end)
     attachments;
+  let attached_set c = Option.value ~default:empty (Hashtbl.find_opt attached c) in
   (* Maximum embedding (Definition 2), one depth-first pass over the
-     marked nodes: an empty internal node is replaced by its kept
-     children, an unmarked subtree holds no attachment and vanishes, the
-     root survives unconditionally. *)
+     nodes in [attached]: an empty internal node is replaced by its kept
+     children, a subtree outside the table holds no attachment and
+     vanishes, the root survives unconditionally. *)
   let rec embed_children c =
     List.concat_map
-      (fun k -> if Bytes.get marked k = '\000' then [] else embed k)
+      (fun k -> if Hashtbl.mem attached k then embed k else [])
       (Hierarchy.children hierarchy c)
   and embed c =
     let kept = embed_children c in
-    if Docset.is_empty attached.(c) then kept else [ Rose (c, kept) ]
+    if Docset.is_empty (attached_set c) then kept else [ Rose (c, kept) ]
   in
   let hroot = Hierarchy.root hierarchy in
   let top = Rose (hroot, embed_children hroot) in
@@ -83,7 +90,7 @@ let build_in arena ~hierarchy ~attachments ~total_count =
   for i = 1 to count - 1 do
     depth.(i) <- depth.(parent.(i)) + 1
   done;
-  let results = Array.init count (fun i -> attached.(concept_ids.(i))) in
+  let results = Array.init count (fun i -> attached_set concept_ids.(i)) in
   let totals =
     Array.init count (fun i ->
         let c = concept_ids.(i) in
@@ -153,6 +160,7 @@ let result_count t i = Docset.cardinal t.results.(i)
 let total t i = t.totals.(i)
 let subtree_distinct t i = t.subtree_distinct.(i)
 let subtree_results t i = t.subtree_sets.(i)
+let subtree_size t i = t.tout.(i) - i + 1
 let node_of_concept t c = Hashtbl.find_opt t.node_of_concept c
 let distinct_results t = t.subtree_distinct.(0)
 let total_attached t = Array.fold_left (fun acc s -> acc + Docset.cardinal s) 0 t.results

@@ -65,6 +65,10 @@ val subtree_results : t -> int -> Bionav_util.Docset.t
     the result universe a query-by-navigation refinement on the node
     narrows to. Already computed (and interned) by [build]; O(1). *)
 
+val subtree_size : t -> int -> int
+(** Number of navigation nodes in the subtree rooted at the node
+    (root-inclusive); O(1) from the preorder interval. *)
+
 val node_of_concept : t -> int -> int option
 (** Navigation node carrying the given hierarchy concept, if any. *)
 

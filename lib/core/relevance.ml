@@ -1,14 +1,5 @@
-let component_weight active node =
-  let nav = Active_tree.nav active in
-  List.fold_left
-    (fun acc m ->
-      let l = Nav_tree.result_count nav m in
-      if l = 0 then acc else acc +. (float_of_int l /. float_of_int (Nav_tree.total nav m)))
-    0.
-    (Active_tree.component active node)
-
 let rank_visible active nodes =
-  let weighted = List.map (fun n -> (n, component_weight active n)) nodes in
+  let weighted = List.map (fun n -> (n, Active_tree.component_weight active n)) nodes in
   List.map fst
     (List.sort
        (fun (na, a) (nb, b) -> if a = b then Int.compare na nb else Float.compare b a)

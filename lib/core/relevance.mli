@@ -6,11 +6,8 @@
     [Σ |L(n)| / |LT(n)|] of a visible node's component, normalized over the
     nodes being ranked. This module orders visible nodes (or arbitrary
     components) by that signal for display purposes — it does not affect
-    the EdgeCut choice, which already optimizes over the same quantities. *)
-
-val component_weight : Active_tree.t -> int -> float
-(** Raw explore mass of a visible node's component: [Σ |L| / |LT|] over its
-    members. @raise Invalid_argument if the node is not visible. *)
+    the EdgeCut choice, which already optimizes over the same quantities.
+    The raw mass of one component is {!Active_tree.component_weight}. *)
 
 val rank_visible : Active_tree.t -> int list -> int list
 (** Order visible nodes by descending component weight (ties by ascending

@@ -13,12 +13,12 @@ let p_expand params active node =
   let nav = Active_tree.nav active in
   let members = Active_tree.component active node in
   let distinct = Active_tree.component_distinct active node in
-  if List.length members <= 1 then 0.
+  if Array.length members <= 1 then 0.
   else if distinct > params.Probability.upper_threshold then 1.0
   else if distinct < params.Probability.lower_threshold then 0.0
   else begin
     let weights =
-      Array.of_list (List.map (fun m -> float_of_int (Nav_tree.result_count nav m)) members)
+      Array.map (fun m -> float_of_int (Nav_tree.result_count nav m)) members
     in
     (* Entropy with the distinct count as denominator, clamped (see
        Probability.expand; duplicated here over active-tree components). *)
@@ -67,7 +67,7 @@ let walk ?(params = Probability.default_params) ?(max_steps = 1000) ~rng session
            proportionally to EXPLORE mass. *)
         let choices =
           List.map
-            (fun v -> (v, Relevance.component_weight active v))
+            (fun v -> (v, Active_tree.component_weight active v))
             (node :: revealed)
         in
         match pick_weighted rng choices with

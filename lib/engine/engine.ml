@@ -664,8 +664,8 @@ let sweep ?now_ms t =
 (* --- navigation actions ------------------------------------------------ *)
 
 (* Re-capture and publish the session's snapshot from its top frame. Runs
-   under the shard lock: capture reads the live active tree and interns
-   into its arena's memo tables; the Atomic.set is the RCU-style
+   under the shard lock: capture reads the live active tree, which fills
+   the changed components' cached values; the Atomic.set is the RCU-style
    publication point. Epoch and space id advance together in the one
    atomic store, so a reader never observes a mixed-space view. *)
 let publish s =
@@ -697,7 +697,13 @@ let drain_speculation s =
               let snap = Atomic.get s.snapshot in
               if String.equal (Nav_snapshot.space snap) fr.fid then begin
                 let revealed = List.sort_uniq Int.compare revealed in
-                let ranked = Speculator.rank_snapshot ~model snap revealed in
+                let spec = Prefetch.speculator pf in
+                (* Every candidate already planned: ranking would only
+                   feed jobs that enqueueing drops. *)
+                let ranked =
+                  if Speculator.all_planned spec ~query:fr.fkey ~model snap revealed then []
+                  else Speculator.rank_snapshot ~model snap revealed
+                in
                 if ranked <> [] then
                   with_shard s.home (fun () ->
                       (* Re-check under the lock: enqueue only if the
@@ -708,8 +714,7 @@ let drain_speculation s =
                       if Hashtbl.mem s.home.sessions s.sid
                          && String.equal (top_frame s).fid fr.fid
                       then
-                        Speculator.enqueue_ranked (Prefetch.speculator pf) ~query:fr.fkey
-                          snap ~k ~model ranked);
+                        Speculator.enqueue_ranked spec ~query:fr.fkey snap ~k ~model ranked);
                 (* The budgeted tick computes cuts with no lock held. *)
                 ignore (Prefetch.tick pf ~budget:(Prefetch.config pf).Prefetch.budget_per_action
                         : int)

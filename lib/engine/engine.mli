@@ -37,8 +37,8 @@
     lock.
 
     Reads never take the shard lock: every mutating action republishes
-    an immutable {!Bionav_search.Nav_snapshot} of the session (frozen
-    arena, epoch-versioned), and {!snapshot} hands it out with one
+    an immutable {!Bionav_search.Nav_snapshot} of the session
+    (epoch-versioned), and {!snapshot} hands it out with one
     [Atomic.get]. The shard mutex covers only session-table mutation,
     session state, speculation enqueueing and snapshot publication;
     rendering, result paging, metrics scraping, speculative {e ranking}

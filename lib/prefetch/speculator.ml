@@ -80,16 +80,7 @@ let push t jobs =
    probability. Normalization is skipped: scores only rank siblings of one
    reveal, and the EXPLORE denominator is shared across them. *)
 let score ~model active node =
-  let nav = Active_tree.nav active in
-  let members = Active_tree.component active node in
-  let mass =
-    List.fold_left
-      (fun acc m ->
-        let lt = Nav_tree.total nav m in
-        if lt = 0 then acc
-        else acc +. (float_of_int (Nav_tree.result_count nav m) /. float_of_int lt))
-      0. members
-  in
+  let mass = Active_tree.component_weight active node in
   let comp, _map = Active_tree.comp_tree active node in
   let all = List.init (Comp_tree.size comp) Fun.id in
   let px =
@@ -102,7 +93,7 @@ module Nav_snapshot = Bionav_search.Nav_snapshot
 
 (* The same score computed from a published snapshot instead of the live
    active tree. Everything read here is immutable or domain-safe — the
-   snapshot's vnodes, its frozen arena, and pure reads on the pinned
+   snapshot's vnodes, their immutable sets, and pure reads on the pinned
    navigation tree — so ranking runs with no lock held at all. *)
 let snapshot_score ~model snap (v : Nav_snapshot.vnode) =
   let comp, _map =
@@ -130,6 +121,16 @@ let rank_snapshot ~model snap revealed =
          | c -> c)
        (List.map (fun v -> (v, snapshot_score ~model snap v)) candidates))
 
+let all_planned t ~query ~model snap revealed =
+  let query = Nav_cache.normalize query and fingerprint = model.Probability.fingerprint in
+  List.for_all
+    (fun n ->
+      match Nav_snapshot.find snap n with
+      | Some v when v.Nav_snapshot.expandable ->
+          Plan_cache.mem t.cache ~query ~fingerprint ~root:n ~members:v.Nav_snapshot.member_set
+      | Some _ | None -> true)
+    revealed
+
 let top t ranked = List.filteri (fun i _ -> i < t.top_m) ranked
 
 (* Jobs for the (root, members) candidates whose plans are not cached. *)
@@ -142,9 +143,8 @@ let new_jobs t ~query ~nav ~k ~model candidates =
     candidates
 
 let enqueue_ranked t ~query snap ~k ~model ranked =
-  (* The member sets live in the snapshot's frozen arena; their content
-     fingerprints match the live component sets, so cached plans serve
-     both paths. *)
+  (* The member sets are the live components' own sets, so cached plans
+     serve both paths. *)
   push t
     (new_jobs t ~query:(Nav_cache.normalize query) ~nav:(Nav_snapshot.nav snap) ~k ~model
        (List.map (fun (v : Nav_snapshot.vnode) -> (v.Nav_snapshot.id, v.Nav_snapshot.member_set))

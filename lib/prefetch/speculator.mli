@@ -66,8 +66,8 @@ val rank_snapshot :
 (** The snapshot-based half of {!observe}'s ranking, safe with {e no}
     lock held: filter the revealed nodes down to expandable ones and
     order them by selectivity mass × EXPAND probability, all computed
-    from the published snapshot (frozen arena + pure navigation-tree
-    reads). Ties break by ascending node id. The expensive scoring runs
+    from the published snapshot (its immutable sets + pure
+    navigation-tree reads). Ties break by ascending node id. The expensive scoring runs
     off the engine's shard lock; pass the result to {!enqueue_ranked}. *)
 
 val enqueue_ranked :
@@ -80,8 +80,20 @@ val enqueue_ranked :
   unit
 (** Enqueue the top-m of an already-ranked candidate list (from
     {!rank_snapshot}) whose plans are not yet cached. Jobs capture the
-    snapshot's frozen member sets, whose content fingerprints match the
-    live components, so cached plans serve foreground expands too. *)
+    snapshot's member sets, which are the live components' own, so
+    cached plans serve foreground expands too. *)
+
+val all_planned :
+  t ->
+  query:string ->
+  model:Bionav_core.Probability.model ->
+  Bionav_search.Nav_snapshot.t ->
+  int list ->
+  bool
+(** Is a plan already cached (under the model's fingerprint) for every
+    revealed node that is expandable in the snapshot? Then ranking them
+    would enqueue nothing, and the caller can skip {!rank_snapshot}.
+    Side-effect free, like {!Plan_cache.mem}. *)
 
 val tick : t -> budget:int -> int
 (** Run up to [budget] queued jobs now, oldest first; returns the number

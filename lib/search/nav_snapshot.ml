@@ -25,41 +25,61 @@ type t = {
   root : int;
   order : int list;
   index : (int, vnode) Hashtbl.t;
-  arena : Docset_arena.t;
   nav : Nav_tree.t;
 }
+
+(* Visible parents from one preorder pass over the visible list: [open_]
+   holds the visible ancestors of the current node, innermost first. *)
+let parents nav order =
+  let rec go open_ acc = function
+    | [] -> acc
+    | id :: rest ->
+        let rec close = function
+          | p :: up when not (Nav_tree.in_subtree nav ~root:p id) -> close up
+          | open_ -> open_
+        in
+        let open_ = close open_ in
+        let parent = match open_ with p :: _ -> p | [] -> -1 in
+        go (id :: open_) ((id, parent) :: acc) rest
+  in
+  go [] [] order
 
 let capture ~epoch ~query ?(space = "descriptor") ?(refine_depth = 0) navigation =
   let active = Navigation.active navigation in
   let nav = Active_tree.nav active in
-  let arena = Docset_arena.create () in
   let order = Active_tree.visible active in
+  let with_parent = parents nav order in
   let index = Hashtbl.create (max 16 (List.length order)) in
+  let children = Hashtbl.create (max 16 (List.length order)) in
   List.iter
-    (fun id ->
-      (* Component member lists come out ascending and strictly
-         increasing, so they intern without a sort. *)
-      let members = Array.of_list (Active_tree.component active id) in
-      let member_set = Docset.of_sorted_array_unchecked_in arena (Array.copy members) in
-      let results =
-        Docset.of_sorted_array_unchecked_in arena
-          (Docset.to_array (Active_tree.component_results active id))
-      in
+    (fun (id, parent) ->
+      if parent >= 0 then
+        Hashtbl.replace children parent
+          (id :: Option.value ~default:[] (Hashtbl.find_opt children parent)))
+    with_parent;
+  (* The component's members, member set and results are the active
+     tree's own values, shared rather than copied: the array is never
+     mutated and the sets are immutable in the navigation arena. *)
+  List.iter
+    (fun (id, parent) ->
+      let results = Active_tree.component_results active id in
       Hashtbl.replace index id
         {
           id;
           label = Nav_tree.label nav id;
-          weight = Relevance.component_weight active id;
+          weight = Active_tree.component_weight active id;
           distinct = Docset.cardinal results;
           expandable = Active_tree.is_expandable active id;
-          parent = Active_tree.visible_parent active id;
-          children = Relevance.ranked_children active id;
-          members;
-          member_set;
+          parent;
+          children =
+            (match Hashtbl.find_opt children id with
+            | None -> []
+            | Some kids -> Relevance.rank_visible active kids);
+          members = Active_tree.component active id;
+          member_set = Active_tree.component_set active id;
           results;
         })
-    order;
-  Docset_arena.freeze arena;
+    with_parent;
   {
     epoch;
     query;
@@ -71,7 +91,6 @@ let capture ~epoch ~query ?(space = "descriptor") ?(refine_depth = 0) navigation
     root = Nav_tree.root nav;
     order;
     index;
-    arena;
     nav;
   }
 
@@ -84,7 +103,7 @@ let stats t = t.stats
 let distinct_results t = t.distinct_results
 let root t = t.root
 let visible t = t.order
-let arena t = t.arena
+let arena t = Nav_tree.arena t.nav
 let nav t = t.nav
 let find t id = Hashtbl.find_opt t.index id
 

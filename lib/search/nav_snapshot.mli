@@ -15,9 +15,15 @@
     - {!vnode.distinct} equals the cardinality of {!vnode.results};
     - {!vnode.parent} / {!vnode.children} describe one coherent
       Definition-5 embedding (children are relevance-ranked);
-    - all docsets live in a single private {e frozen} arena
-      ({!Bionav_util.Docset_arena.freeze}), so reading them from any
-      number of domains is safe and any attempted mutation raises.
+    - every docset is the active tree's own value for its component, in
+      the navigation tree's arena: interned sets are immutable and the
+      arena is internally synchronized, so reading them from any number
+      of domains is safe while writers intern into the same arena.
+
+    Capture copies nothing per member: the member arrays and sets are
+    the ones the active tree computed (at most once per component), so a
+    publish costs O(visible nodes) plus the components the action
+    changed.
 
     The snapshot also pins [nav], the underlying navigation tree, whose
     post-build state is immutable except for its arena's memo tables —
@@ -34,13 +40,14 @@ type vnode = {
   expandable : bool;  (** Component has ≥ 2 nodes (the ">>>" affordance). *)
   parent : int;  (** Visible parent in the embedding; -1 for the root. *)
   children : int list;  (** Visible children, relevance-ranked. *)
-  members : int array;  (** Component members, ascending navigation ids. *)
+  members : int array;
+      (** Component members, ascending navigation ids. Shared with the
+          active tree; never mutated. *)
   member_set : Bionav_util.Docset.t;
-      (** [members] interned in the snapshot arena — plan caches key on
-          its O(1) fingerprint, which is content-based and therefore
-          consistent with live-arena member sets. *)
+      (** [members] interned in the navigation arena — plan caches key
+          on its O(1) content fingerprint. *)
   results : Bionav_util.Docset.t;
-      (** Distinct citations of the component, in the snapshot arena. *)
+      (** Distinct citations of the component, in the navigation arena. *)
 }
 
 type t
@@ -55,8 +62,7 @@ val capture :
 (** Build a snapshot of the session's current visible tree. Must be
     called while holding whatever lock serializes mutation of the
     session (the engine's shard lock): capture reads the active tree and
-    interns into the navigation arena's memo tables. The returned
-    snapshot's private arena is frozen before return. [space] (default
+    fills its per-component values on first use. [space] (default
     ["descriptor"]) is the identity of the navigation space the session's
     top frame was derived along; [refine_depth] (default 0) the depth of
     its refinement stack. *)
@@ -100,7 +106,8 @@ val iter : t -> (vnode -> unit) -> unit
 val node_count : t -> int
 
 val arena : t -> Bionav_util.Docset_arena.t
-(** The snapshot's private arena; always frozen. *)
+(** The arena holding every docset of the snapshot: the navigation
+    tree's. *)
 
 val nav : t -> Bionav_core.Nav_tree.t
 (** The underlying navigation tree (shared with the live session). *)

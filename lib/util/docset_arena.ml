@@ -26,12 +26,9 @@ type repr =
    the slot publication, the intern/memo hashtables and the mutable stat
    fields. Merges and counts run outside it: set algebra probes its memo
    under the lock, computes without it, then interns the result (which
-   re-checks for an equal set) and memoizes it under the lock again. A
-   frozen arena never inserts, so its tables are read with no lock at all
-   (see [inter_cardinal]). *)
+   re-checks for an equal set) and memoizes it under the lock again. *)
 type t = {
   lock : bool Atomic.t;  (* spin lock; [true] while held *)
-  mutable frozen : bool;  (* set once, under [lock], before publication *)
   reprs : repr array Atomic.t;
   fps : int array Atomic.t;
   n : int Atomic.t;
@@ -78,7 +75,6 @@ let create () =
   let fps = Array.make 4 fp_seed in
   {
     lock = Atomic.make false;
-    frozen = false;
     reprs = Atomic.make reprs;
     fps = Atomic.make fps;
     n = Atomic.make 1;
@@ -94,7 +90,7 @@ let create () =
   }
 
 (* A test-and-test-and-set lock on one Atomic: an arena that never meets a
-   second domain (most of them: per-value sets, snapshot arenas) pays one
+   second domain (most of them: per-value sets, segment blocks) pays one
    small allocation for it and no finaliser or syscall. Critical sections
    are table probes and inserts, so a waiter spins; every 64th spin it
    sleeps briefly instead, in case the holder's core was taken away. *)
@@ -108,9 +104,6 @@ let lock t =
   end
 
 let unlock t = Atomic.set t.lock false
-
-let check_live t =
-  if t.frozen then invalid_arg "Docset_arena: mutation of a frozen arena"
 
 (* --- representation helpers ------------------------------------------- *)
 
@@ -254,13 +247,6 @@ let grow t n =
 
 let adopt (_ : t) = ()
 
-let freeze t =
-  lock t;
-  t.frozen <- true;
-  unlock t
-
-let is_frozen t = t.frozen
-
 (* The interned non-empty set equal to the slice, or -1. Called under
    the lock. *)
 let rec find_in_bucket t bucket buf off len =
@@ -302,7 +288,6 @@ type source = Owned | Borrowed | Shared of repr
 (* Intern the sorted strictly-increasing slice [buf.(off) .. buf.(off +
    len - 1)] whose fingerprint is [fp]. A dedup hit allocates nothing. *)
 let intern_slice t source fp buf off len =
-  check_live t;
   Metrics.incr interned_counter;
   lock t;
   t.intern_requests <- t.intern_requests + 1;
@@ -538,7 +523,6 @@ let merge_and_intern t s op a b =
    domain's scratch buffer that is then interned — copied out once, at its
    exact size, only when the result is a new set. *)
 let binop t op a b =
-  check_live t;
   check_id t a;
   check_id t b;
   (* Union and intersection are commutative: normalize the key. *)
@@ -621,19 +605,12 @@ let inter_cardinal t a b =
   else if a = b then repr_cardinal (get_repr t a)
   else begin
     let key = if a > b then (b, a) else (a, b) in
-    if t.frozen then
-      (* Frozen arena: nobody inserts into [count_memo] anymore, so a
-         lookup is race-free from any domain without the lock. Misses
-         recompute without memoizing. *)
-      let memo = match t.count_memo with Some tbl -> Hashtbl.find_opt tbl key | None -> None in
-      match memo with Some c -> c | None -> inter_cardinal_raw t a b
-    else
-      match memo_find t count_memo key with
-      | Some c -> c
-      | None ->
-          let c = inter_cardinal_raw t a b in
-          memo_add t count_memo set_count_memo key c;
-          c
+    match memo_find t count_memo key with
+    | Some c -> c
+    | None ->
+        let c = inter_cardinal_raw t a b in
+        memo_add t count_memo set_count_memo key c;
+        c
   end
 
 let union_cardinal t a b = cardinal t a + cardinal t b - inter_cardinal t a b
@@ -653,7 +630,8 @@ type stats = {
 }
 
 let stats t =
-  let read () =
+  lock t;
+  let st =
     {
       sets = Atomic.get t.n;
       bytes = t.bytes;
@@ -664,13 +642,8 @@ let stats t =
       memo_hits = t.memo_hits;
     }
   in
-  if t.frozen then read ()
-  else begin
-    lock t;
-    let st = read () in
-    unlock t;
-    st
-  end
+  unlock t;
+  st
 
 let dedup_hit_rate t =
   let st = stats t in

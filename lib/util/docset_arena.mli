@@ -26,11 +26,9 @@
     {!fingerprint}, …) take no lock: interned sets are immutable once
     published, and the backing arrays are grown copy-then-publish through
     [Atomic]s (slot stores happen before the set count is advanced, so a
-    reader never observes a half-initialized slot).
-
-    A {!freeze}d arena rejects all further mutation and takes no lock at
-    all: {!inter_cardinal} switches to lookup-only memo reads. The engine
-    freezes each published navigation snapshot's arena (DESIGN.md §12). *)
+    reader never observes a half-initialized slot). Published navigation
+    snapshots hand out sets of their tree's arena and rely on exactly
+    this (DESIGN.md §12). *)
 
 type t
 
@@ -44,14 +42,6 @@ val adopt : t -> unit
 (** Does nothing. Arenas are internally synchronized, so no domain needs
     to take an arena over before writing to it; kept for source
     compatibility with older callers. *)
-
-val freeze : t -> unit
-(** Irreversibly seal the arena: every mutating operation (interning,
-    set algebra) raises [Invalid_argument] from then on, and all
-    remaining operations, including {!inter_cardinal}, run without the
-    lock. Freeze before the arena is published to other domains. *)
-
-val is_frozen : t -> bool
 
 val empty_id : id
 (** The empty set, pre-interned in every arena (id 0). *)
@@ -117,8 +107,7 @@ val union_many : t -> id list -> id
 val inter_cardinal : t -> id -> id -> int
 (** [cardinal (inter a b)] without materializing the intersection:
     SWAR popcount over word pairs for bitset operands, merge-count for
-    sorted ones. Memoized on live arenas; on frozen arenas the memo is
-    consulted read-only and misses recompute. *)
+    sorted ones. Memoized. *)
 
 val union_cardinal : t -> id -> id -> int
 (** [cardinal a + cardinal b - inter_cardinal a b], allocation-free. *)

@@ -28,7 +28,7 @@ let nav () =
 let test_initial_state () =
   let t = Active_tree.create (nav ()) in
   Alcotest.(check (list int)) "only root visible" [ 0 ] (Active_tree.visible t);
-  Alcotest.(check (list int)) "root component holds all" [ 0; 1; 2; 3; 4; 5 ]
+  Alcotest.(check (array int)) "root component holds all" [| 0; 1; 2; 3; 4; 5 |]
     (Active_tree.component t 0);
   Alcotest.(check int) "root distinct" 7 (Active_tree.component_distinct t 0);
   Alcotest.(check bool) "expandable" true (Active_tree.is_expandable t 0);
@@ -41,9 +41,9 @@ let test_apply_cut_splits () =
   let revealed = Active_tree.apply_cut t ~root:0 ~cut_children:[ 1; 5 ] in
   Alcotest.(check (list int)) "revealed" [ 1; 5 ] revealed;
   Alcotest.(check (list int)) "visible" [ 0; 1; 5 ] (Active_tree.visible t);
-  Alcotest.(check (list int)) "component of 1" [ 1; 2; 3 ] (Active_tree.component t 1);
-  Alcotest.(check (list int)) "component of 5" [ 5 ] (Active_tree.component t 5);
-  Alcotest.(check (list int)) "upper keeps rest" [ 0; 4 ] (Active_tree.component t 0);
+  Alcotest.(check (array int)) "component of 1" [| 1; 2; 3 |] (Active_tree.component t 1);
+  Alcotest.(check (array int)) "component of 5" [| 5 |] (Active_tree.component t 5);
+  Alcotest.(check (array int)) "upper keeps rest" [| 0; 4 |] (Active_tree.component t 0);
   Alcotest.(check int) "4 now routed to root comp" 0 (Active_tree.component_root_of t 4);
   Alcotest.(check int) "2 routed to 1" 1 (Active_tree.component_root_of t 2)
 
@@ -65,7 +65,7 @@ let test_nested_cuts () =
   ignore (Active_tree.apply_cut t ~root:0 ~cut_children:[ 1 ]);
   let revealed = Active_tree.apply_cut t ~root:1 ~cut_children:[ 2; 3 ] in
   Alcotest.(check (list int)) "revealed leaves" [ 2; 3 ] revealed;
-  Alcotest.(check (list int)) "1 now alone" [ 1 ] (Active_tree.component t 1);
+  Alcotest.(check (array int)) "1 now alone" [| 1 |] (Active_tree.component t 1);
   Alcotest.(check bool) "1 no longer expandable" false (Active_tree.is_expandable t 1)
 
 let test_cut_skipping_levels () =
@@ -73,7 +73,7 @@ let test_cut_skipping_levels () =
   let t = Active_tree.create (nav ()) in
   let revealed = Active_tree.apply_cut t ~root:0 ~cut_children:[ 2; 5 ] in
   Alcotest.(check (list int)) "grandchildren revealed" [ 2; 5 ] revealed;
-  Alcotest.(check (list int)) "upper keeps intermediate nodes" [ 0; 1; 3; 4 ]
+  Alcotest.(check (array int)) "upper keeps intermediate nodes" [| 0; 1; 3; 4 |]
     (Active_tree.component t 0)
 
 let test_visible_parent_embedding () =
@@ -89,10 +89,10 @@ let test_backtrack () =
   ignore (Active_tree.apply_cut t ~root:0 ~cut_children:[ 1 ]);
   ignore (Active_tree.apply_cut t ~root:1 ~cut_children:[ 2 ]);
   Alcotest.(check bool) "undo inner" true (Active_tree.backtrack t);
-  Alcotest.(check (list int)) "inner restored" [ 1; 2; 3 ] (Active_tree.component t 1);
+  Alcotest.(check (array int)) "inner restored" [| 1; 2; 3 |] (Active_tree.component t 1);
   Alcotest.(check (list int)) "visible" [ 0; 1 ] (Active_tree.visible t);
   Alcotest.(check bool) "undo outer" true (Active_tree.backtrack t);
-  Alcotest.(check (list int)) "initial restored" [ 0; 1; 2; 3; 4; 5 ]
+  Alcotest.(check (array int)) "initial restored" [| 0; 1; 2; 3; 4; 5 |]
     (Active_tree.component t 0);
   Alcotest.(check bool) "nothing left" false (Active_tree.backtrack t)
 
@@ -116,7 +116,7 @@ let test_expand_static () =
   let t = Active_tree.create (nav ()) in
   let revealed = Active_tree.expand_static t 0 in
   Alcotest.(check (list int)) "all children" [ 1; 4 ] revealed;
-  Alcotest.(check (list int)) "upper is singleton root" [ 0 ] (Active_tree.component t 0);
+  Alcotest.(check (array int)) "upper is singleton root" [| 0 |] (Active_tree.component t 0);
   let revealed2 = Active_tree.expand_static t 1 in
   Alcotest.(check (list int)) "children of 1" [ 2; 3 ] revealed2;
   (* Leaves reveal nothing. *)
@@ -153,20 +153,22 @@ let qcheck_random_cut_sequences =
         | [] -> ()
         | _ ->
             let root = Rng.choice_list rng expandables in
-            let members = List.filter (fun m -> m <> root) (Active_tree.component t root) in
+            let members =
+              List.filter (fun m -> m <> root) (Array.to_list (Active_tree.component t root))
+            in
             (* Pick one random member; it is a valid singleton cut. *)
             let cut = [ Rng.choice_list rng members ] in
             ignore (Active_tree.apply_cut t ~root ~cut_children:cut)
       done;
       (* Invariant: components partition all nodes. *)
       let all =
-        List.concat_map (fun r -> Active_tree.component t r) (Active_tree.visible t)
+        List.concat_map (fun r -> Array.to_list (Active_tree.component t r)) (Active_tree.visible t)
       in
       if List.sort Int.compare all <> [ 0; 1; 2; 3; 4; 5 ] then ok := false;
       (* Invariant: component_root_of agrees with membership. *)
       List.iter
         (fun r ->
-          List.iter
+          Array.iter
             (fun m -> if Active_tree.component_root_of t m <> r then ok := false)
             (Active_tree.component t r))
         (Active_tree.visible t);
@@ -201,7 +203,9 @@ let qcheck_heuristic_sessions =
               in
               ignore (Active_tree.apply_cut t ~root ~cut_children:cut);
               let all =
-                List.concat_map (Active_tree.component t) (Active_tree.visible t)
+                List.concat_map
+                  (fun r -> Array.to_list (Active_tree.component t r))
+                  (Active_tree.visible t)
               in
               if List.sort Int.compare all <> List.init (Nav_tree.size nav_tree) Fun.id then
                 ok := false;
@@ -209,6 +213,142 @@ let qcheck_heuristic_sessions =
       in
       loop 30;
       !ok)
+
+(* --- differential against the list-based reference ---------------------- *)
+
+module Oracle = Active_tree_oracle
+module Snap = Bionav_search.Nav_snapshot
+module Q = Bionav_workload.Queries
+
+let workload = lazy (Q.build ~config:Q.small_config ~seed:5 ())
+
+let check_same_snapshot step navigation oracle =
+  let active = Navigation.active navigation in
+  let snap = Snap.capture ~epoch:step ~query:"q" navigation in
+  let expected = Oracle.capture oracle in
+  let fail fmt = Alcotest.failf ("step %d: " ^^ fmt) step in
+  if Snap.visible snap <> List.map (fun (v : Snap.vnode) -> v.Snap.id) expected then
+    fail "visible order differs";
+  List.iter
+    (fun (e : Snap.vnode) ->
+      let v = Snap.get snap e.Snap.id in
+      let id = e.Snap.id in
+      if v.Snap.label <> e.Snap.label then fail "node %d: label" id;
+      if Int64.bits_of_float v.Snap.weight <> Int64.bits_of_float e.Snap.weight then
+        fail "node %d: weight %h <> %h" id v.Snap.weight e.Snap.weight;
+      if v.Snap.distinct <> e.Snap.distinct then fail "node %d: distinct" id;
+      if v.Snap.expandable <> e.Snap.expandable then fail "node %d: expandable" id;
+      if v.Snap.parent <> e.Snap.parent then fail "node %d: parent" id;
+      if v.Snap.children <> e.Snap.children then fail "node %d: children" id;
+      if v.Snap.members <> e.Snap.members then fail "node %d: members" id;
+      if Docset.elements v.Snap.member_set <> Docset.elements e.Snap.member_set then
+        fail "node %d: member_set" id;
+      if Docset.elements v.Snap.results <> Docset.elements e.Snap.results then
+        fail "node %d: results" id)
+    expected;
+  for i = 0 to Nav_tree.size (Active_tree.nav active) - 1 do
+    if Active_tree.component_root_of active i <> Oracle.component_root_of oracle i then
+      fail "node %d: component root" i
+  done
+
+(* A random antichain of non-root members of [root]'s component. *)
+let random_cut rng oracle root =
+  let nav = Oracle.nav oracle in
+  let candidates = Array.of_list (List.filter (( <> ) root) (Oracle.component oracle root)) in
+  Rng.shuffle rng candidates;
+  let want = 1 + Rng.int rng 4 in
+  Array.fold_left
+    (fun acc c ->
+      if List.length acc >= want
+         || List.exists
+              (fun c' -> Nav_tree.in_subtree nav ~root:c c' || Nav_tree.in_subtree nav ~root:c' c)
+              acc
+      then acc
+      else c :: acc)
+    [] candidates
+
+let outcome f = match f () with r -> Ok r | exception Invalid_argument _ -> Error ()
+
+(* Scripts of heuristic EXPANDs, random valid cuts, static expands,
+   backtracks and arbitrary (often invalid) cuts, applied to the active
+   tree of a live navigation and to the reference; after every step the
+   captured snapshot equals the reference capture vnode for vnode. *)
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"snapshot = list-based reference" ~count:40
+    QCheck.(pair (int_range 0 10_000) (int_range 1 14))
+    (fun (seed, steps) ->
+      let w = Lazy.force workload in
+      let rng = Rng.create seed in
+      let q = Rng.choice_list rng w.Q.queries in
+      let navigation = Navigation.start (Navigation.bionav ()) q.Q.nav in
+      let active = Navigation.active navigation in
+      let oracle = Oracle.create q.Q.nav in
+      check_same_snapshot 0 navigation oracle;
+      for step = 1 to steps do
+        let expandable = List.filter (Oracle.is_expandable oracle) (Oracle.visible oracle) in
+        (match (Rng.int rng 5, expandable) with
+        | 0, (_ :: _ as l) ->
+            let root = Rng.choice_list rng l in
+            let comp, _ = Oracle.comp_tree oracle root in
+            let report = Heuristic.best_cut comp in
+            let cut = List.map (Comp_tree.tag comp) report.Heuristic.cut_children in
+            Alcotest.(check (list int)) "heuristic reveal"
+              (Oracle.apply_cut oracle ~root ~cut_children:cut)
+              (Active_tree.apply_cut active ~root ~cut_children:cut)
+        | 1, (_ :: _ as l) ->
+            let root = Rng.choice_list rng l in
+            let cut = random_cut rng oracle root in
+            Alcotest.(check (list int)) "random reveal"
+              (Oracle.apply_cut oracle ~root ~cut_children:cut)
+              (Active_tree.apply_cut active ~root ~cut_children:cut)
+        | 2, _ ->
+            let root = Rng.choice_list rng (Oracle.visible oracle) in
+            Alcotest.(check (list int)) "static reveal"
+              (Oracle.expand_static oracle root)
+              (Active_tree.expand_static active root)
+        | 3, _ ->
+            let n = Nav_tree.size q.Q.nav in
+            let root = Rng.choice_list rng (Oracle.visible oracle) in
+            let cut = List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n) in
+            let expected = outcome (fun () -> Oracle.apply_cut oracle ~root ~cut_children:cut) in
+            let got = outcome (fun () -> Active_tree.apply_cut active ~root ~cut_children:cut) in
+            if expected <> got then Alcotest.failf "step %d: cut validity differs" step
+        | _ ->
+            Alcotest.(check bool) "backtrack" (Oracle.backtrack oracle)
+              (Active_tree.backtrack active));
+        check_same_snapshot step navigation oracle
+      done;
+      true)
+
+(* Re-capturing a session that has not changed costs a bounded number of
+   minor-heap words per visible node, whatever the tree size: capture
+   shares the components' arrays and sets instead of copying them. *)
+let test_recapture_allocation () =
+  let w = Lazy.force workload in
+  let q =
+    List.fold_left
+      (fun a b -> if Nav_tree.size b.Q.nav > Nav_tree.size a.Q.nav then b else a)
+      (List.hd w.Q.queries) w.Q.queries
+  in
+  let navigation = Navigation.start (Navigation.bionav ()) q.Q.nav in
+  let recapture () =
+    ignore (Snap.capture ~epoch:0 ~query:"q" navigation : Snap.t);
+    let before = Gc.minor_words () in
+    let snap = Snap.capture ~epoch:1 ~query:"q" navigation in
+    (Gc.minor_words () -. before, Snap.node_count snap)
+  in
+  let check name =
+    let words, visible = recapture () in
+    let bound = 200. +. (64. *. float_of_int visible) in
+    if words > bound then
+      Alcotest.failf "%s: %.0f words for %d visible nodes of %d (bound %.0f)" name words visible
+        (Nav_tree.size q.Q.nav) bound
+  in
+  check "root only";
+  ignore (Navigation.expand navigation 0 : int list);
+  check "after one EXPAND";
+  Alcotest.(check bool) "tree much larger than the bound" true
+    (Nav_tree.size q.Q.nav > 300)
 
 let () =
   Alcotest.run "active_tree"
@@ -232,5 +372,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_random_cut_sequences;
           QCheck_alcotest.to_alcotest qcheck_heuristic_sessions;
+        ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_matches_oracle;
+          Alcotest.test_case "re-capture allocation" `Quick test_recapture_allocation;
         ] );
     ]

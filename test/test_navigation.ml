@@ -159,7 +159,9 @@ let test_reuse_session_consistency () =
     | r :: _ ->
         ignore (Navigation.expand s r);
         let all =
-          List.concat_map (Active_tree.component active) (Active_tree.visible active)
+          List.concat_map
+            (fun r -> Array.to_list (Active_tree.component active r))
+            (Active_tree.visible active)
         in
         Alcotest.(check (list int)) "partition invariant" (List.init 8 Fun.id)
           (List.sort Int.compare all);

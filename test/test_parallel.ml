@@ -1,9 +1,10 @@
 (* Multi-domain stress for the sharded engine and its supporting
    concurrency primitives (DESIGN.md §11): parallel replay must agree
    with a serial replay expand-for-expand, the domain-safe metrics must
-   account for every record exactly, frozen arenas must reject every
-   write, and the listener/worker queue must deliver every accepted item
-   across domains. *)
+   account for every record exactly, snapshot docsets must read the same
+   from every domain while writers share their arena, and the
+   listener/worker queue must deliver every accepted item across
+   domains. *)
 
 open Bionav_util
 open Bionav_core
@@ -344,44 +345,73 @@ let test_shared_caches_differential () =
         [ ("one shard", one); ("four shards", four) ])
     one.(0)
 
-(* --- frozen arenas ------------------------------------------------------ *)
+(* --- shared arena reads ------------------------------------------------ *)
 
-(* A frozen arena (the snapshot read path) rejects every mutation, while
-   reads, including the lock-free [inter_cardinal], work from any domain
-   and agree with the values computed before freezing. *)
-let test_frozen_arena_is_read_only () =
-  let arena = Docset_arena.create () in
-  let a = Docset.of_list_in arena [ 1; 2; 3; 5; 8; 13 ]
-  and b = Docset.of_list_in arena [ 2; 3; 4; 5 ]
-  and c = Docset.of_list_in arena (List.init 100 (fun i -> 2 * i)) in
-  let ida = Docset.id a and idb = Docset.id b and idc = Docset.id c in
-  let memoized = Docset_arena.inter_cardinal arena ida idb in
-  Docset_arena.freeze arena;
-  Alcotest.(check bool) "frozen" true (Docset_arena.is_frozen arena);
-  let rejects name f =
-    Alcotest.(check bool) (name ^ " rejected") true
-      (match f () with _ -> false | exception Invalid_argument _ -> true)
+(* A snapshot's docsets are its session's component sets in the
+   navigation tree's arena, which other sessions of the same cached tree
+   keep interning into. Three reader domains read one published
+   snapshot's sets, including the memoizing [inter_cardinal], while a
+   writer domain expands and backtracks other sessions of the same
+   query; every read agrees with the values taken before they started. *)
+let test_snapshot_docsets_across_domains () =
+  let module Snap = Bionav_search.Nav_snapshot in
+  let w = Lazy.force workload in
+  let eng = engine () in
+  let q = (List.hd w.Q.queries).Q.keyword in
+  let start () = must_session (Engine.search eng q) in
+  let s = start () in
+  (* Reveal two levels so the snapshot holds upper components too. *)
+  let expand_first_expandable s =
+    let snap = Engine.snapshot s in
+    match List.find_opt (fun id -> (Snap.get snap id).Snap.expandable) (Snap.visible snap) with
+    | Some id -> ignore (Engine.expand s id : int list)
+    | None -> ()
   in
-  rejects "intern" (fun () -> Docset_arena.intern arena [| 7 |]);
-  rejects "intern_unchecked" (fun () -> Docset_arena.intern_unchecked arena [| 1; 2 |]);
-  rejects "union" (fun () -> Docset_arena.union arena ida idb);
-  rejects "inter" (fun () -> Docset_arena.inter arena ida idc);
-  rejects "diff" (fun () -> Docset_arena.diff arena idc ida);
-  rejects "union_many" (fun () -> Docset_arena.union_many arena [ ida; idb; idc ]);
+  expand_first_expandable s;
+  expand_first_expandable s;
+  let snap = Engine.snapshot s in
+  Alcotest.(check bool) "several visible nodes" true (Snap.node_count snap > 1);
+  let root_results = (Snap.get snap (Snap.root snap)).Snap.results in
   let reads () =
-    ( Docset.elements a,
-      Docset.cardinal c,
-      Docset.mem 4 b,
-      Docset_arena.inter_cardinal arena ida idb,
-      Docset_arena.inter_cardinal arena ida idc,
-      Docset_arena.subset arena idb idc )
+    List.map
+      (fun id ->
+        let v = Snap.get snap id in
+        ( Docset.elements v.Snap.results,
+          Docset.elements v.Snap.member_set,
+          Docset.cardinal v.Snap.results,
+          Docset.inter_cardinal v.Snap.results root_results ))
+      (Snap.visible snap)
   in
-  let expected = ([ 1; 2; 3; 5; 8; 13 ], 100, true, 3, 2, false) in
-  Alcotest.(check int) "memoized before freezing" 3 memoized;
-  Alcotest.(check bool) "reads on the freezing domain" true (reads () = expected);
-  Array.iter
-    (fun r -> Alcotest.(check bool) "reads from another domain" true (r = expected))
-    (Array.map Domain.join (Array.init 3 (fun _ -> Domain.spawn reads)))
+  let expected = reads () in
+  let others = List.init 3 (fun _ -> start ()) in
+  let stop = Atomic.make false in
+  let writer () =
+    let rng = Rng.create 7 in
+    for _ = 1 to 40 do
+      let o = Rng.choice_list rng others in
+      let osnap = Engine.snapshot o in
+      match
+        List.filter (fun id -> (Snap.get osnap id).Snap.expandable) (Snap.visible osnap)
+      with
+      | [] -> ignore (Engine.backtrack o : bool)
+      | l -> ignore (Engine.expand o (Rng.choice_list rng l) : int list)
+    done;
+    Atomic.set stop true
+  in
+  let reader () =
+    let checks = ref 0 in
+    while !checks = 0 || not (Atomic.get stop) do
+      if reads () <> expected then Alcotest.fail "snapshot docsets changed under a writer";
+      incr checks
+    done;
+    !checks
+  in
+  let readers = Array.init 3 (fun _ -> Domain.spawn reader) in
+  let w = Domain.spawn writer in
+  Domain.join w;
+  let checks = Array.fold_left (fun acc r -> acc + Domain.join r) 0 readers in
+  Alcotest.(check bool) "every reader read" true (checks >= 3);
+  Alcotest.(check bool) "reads on the main domain" true (reads () = expected)
 
 (* --- bounded queue ----------------------------------------------------- *)
 
@@ -450,7 +480,10 @@ let () =
       ( "snapshots",
         [ Alcotest.test_case "isolation under 4 domains" `Quick test_snapshot_isolation_stress ] );
       ( "arena",
-        [ Alcotest.test_case "frozen rejects writes" `Quick test_frozen_arena_is_read_only ] );
+        [
+          Alcotest.test_case "snapshot reads under writers" `Quick
+            test_snapshot_docsets_across_domains;
+        ] );
       ( "bounded_queue",
         [
           Alcotest.test_case "capacity and close" `Quick test_queue_capacity_and_close;

@@ -285,6 +285,30 @@ let test_speculator_drop_query () =
   Alcotest.(check int) "drops counted" queued (Speculator.dropped spec);
   Alcotest.(check int) "nothing left to tick" 0 (Speculator.tick spec ~budget:8)
 
+(* [all_planned] is what lets the engine skip ranking a reveal: false
+   while any expandable revealed node lacks a plan, true once every one
+   has one, and then enqueueing the ranking would queue nothing. *)
+let test_speculator_all_planned () =
+  let nav = Lazy.force cancer_nav in
+  let s = Navigation.start (Navigation.bionav ()) nav in
+  let revealed = Navigation.expand s (Nav_tree.root nav) in
+  let snap = Bionav_search.Nav_snapshot.capture ~epoch:1 ~query:"cancer" s in
+  let cache = Plan_cache.create () in
+  let spec = Speculator.create ~top_m:64 ~max_queue:64 cache in
+  let model = Probability.default_model and k = Heuristic.default_k in
+  let all_planned () = Speculator.all_planned spec ~query:"  Cancer " ~model snap revealed in
+  Alcotest.(check bool) "nothing planned yet" false (all_planned ());
+  let ranked = Speculator.rank_snapshot ~model snap revealed in
+  Alcotest.(check bool) "expandable candidates" true (ranked <> []);
+  Speculator.enqueue_ranked spec ~query:"cancer" snap ~k ~model ranked;
+  ignore (Speculator.tick spec ~budget:max_int : int);
+  Alcotest.(check bool) "every candidate planned" true (all_planned ());
+  Speculator.enqueue_ranked spec ~query:"cancer" snap ~k ~model ranked;
+  Alcotest.(check int) "ranking again queues nothing" 0 (Speculator.queue_length spec);
+  Alcotest.(check bool) "another model's plans do not count" false
+    (Speculator.all_planned spec ~query:"cancer"
+       ~model:{ model with Probability.fingerprint = "other" } snap revealed)
+
 (* --- snapshot format --------------------------------------------------- *)
 
 let sample_entries () =
@@ -477,6 +501,7 @@ let () =
           Alcotest.test_case "overflow drops new job" `Quick
             test_speculator_overflow_drops_new_job;
           Alcotest.test_case "drop_query" `Quick test_speculator_drop_query;
+          Alcotest.test_case "all_planned" `Quick test_speculator_all_planned;
         ] );
       ( "snapshot",
         [

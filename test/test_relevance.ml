@@ -21,15 +21,15 @@ let nav () =
 let test_component_weight () =
   let active = Active_tree.create (nav ()) in
   ignore (Active_tree.apply_cut active ~root:0 ~cut_children:[ 1; 2; 3 ]);
-  Alcotest.(check (float 1e-9)) "a" 0.8 (Relevance.component_weight active 1);
-  Alcotest.(check (float 1e-9)) "b" 0.001 (Relevance.component_weight active 2);
-  Alcotest.(check (float 1e-9)) "c" 0.2 (Relevance.component_weight active 3)
+  Alcotest.(check (float 1e-9)) "a" 0.8 (Active_tree.component_weight active 1);
+  Alcotest.(check (float 1e-9)) "b" 0.001 (Active_tree.component_weight active 2);
+  Alcotest.(check (float 1e-9)) "c" 0.2 (Active_tree.component_weight active 3)
 
 let test_weight_sums_over_component () =
   let active = Active_tree.create (nav ()) in
   (* Root component holds all four nodes. *)
   let expected = 0.8 +. 0.001 +. 0.2 in
-  Alcotest.(check (float 1e-9)) "summed" expected (Relevance.component_weight active 0)
+  Alcotest.(check (float 1e-9)) "summed" expected (Active_tree.component_weight active 0)
 
 let test_rank_visible () =
   let active = Active_tree.create (nav ()) in
@@ -62,7 +62,7 @@ let test_rejects_invisible () =
   let active = Active_tree.create (nav ()) in
   Alcotest.(check bool) "invisible node" true
     (try
-       ignore (Relevance.component_weight active 2);
+       ignore (Active_tree.component_weight active 2);
        false
      with Invalid_argument _ -> true)
 
